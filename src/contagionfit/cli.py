@@ -35,7 +35,13 @@ from .experiments import (
 )
 from .fit import FitConfig, compare_models, fit_oada
 from .network import GeneratorConfig, Network, generate_network, load_network_csv, write_network_csv
-from .oada import DiffusionData, load_order_file, parse_order_text, write_order_file
+from .oada import (
+    DiffusionData,
+    build_event_table,
+    load_order_file,
+    parse_order_text,
+    write_order_file,
+)
 from .profile_ci import ProfileConfig, profile_ci
 from .rules import rule_from_name
 from .simulate import simulate_diffusion, write_trace_csv
@@ -254,11 +260,12 @@ def cmd_compare(args) -> int:
 
     cfg = FitConfig(restarts=args.restarts, tolerance=args.tolerance,
                     max_evals=args.max_evals, seed=args.seed)
+    table = build_event_table(data)
     fits = []
     failed: list[str] = []
     for rule in rules:
         try:
-            fits.append(fit_oada(data, rule, cfg))
+            fits.append(fit_oada(table, rule, cfg))
         except Exception as exc:  # a failed row must not sink the table
             failed.append(rule.kind)
             print(f"warning: fit of {rule.kind!r} failed: {exc}", file=sys.stderr)

@@ -101,6 +101,11 @@ class FitResult:
     def param_names(self) -> tuple[str, ...]:
         return self.rule.param_names
 
+    @property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lower, upper) parameter box the fit searched."""
+        return _resolve_bounds(self.rule, self.config or FitConfig())
+
     def report_dict(self) -> dict:
         """JSON-ready summary (used by the CLI fit report)."""
         return {
@@ -344,23 +349,28 @@ def standard_errors(fit: FitResult, rel_step: float = 1e-4, abs_floor: float = 1
     """Recompute SEs for a fit (None at a bound or with an unusable Hessian)."""
     if any(fit.boundary_flags):
         return None
-    lower = fit.config.lower if fit.config and fit.config.lower else fit.rule.lower
-    upper = fit.config.upper if fit.config and fit.config.upper else fit.rule.upper
+    lower, upper = fit.box
     return hessian_standard_errors(
         nll_objective(fit.rule, fit.table), fit.mle, lower, upper, rel_step, abs_floor
     )
 
 
-def _resolve_box(rule: TransmissionRule, cfg: FitConfig):
+def _resolve_bounds(rule: TransmissionRule, cfg: FitConfig):
     lower = tuple(cfg.lower) if cfg.lower is not None else rule.lower
     upper = tuple(cfg.upper) if cfg.upper is not None else rule.upper
     k = rule.n_params
     if len(lower) != k or len(upper) != k:
         raise ValueError(f"bounds must have {k} entries for rule {rule.kind!r}")
+    return np.asarray(lower, float), np.asarray(upper, float)
+
+
+def _resolve_box(rule: TransmissionRule, cfg: FitConfig):
+    lower, upper = _resolve_bounds(rule, cfg)
     start = tuple(cfg.start) if cfg.start is not None else rule.default_start
+    k = rule.n_params
     if len(start) != k:
         raise ValueError(f"start must have {k} entries for rule {rule.kind!r}")
-    return np.asarray(start, float), np.asarray(lower, float), np.asarray(upper, float)
+    return np.asarray(start, float), lower, upper
 
 
 def fit_oada(

@@ -146,11 +146,6 @@ def total_connection(network: Network, i: int) -> float:
     return float(network.weights[i].sum())
 
 
-def total_connections(network: Network) -> np.ndarray:
-    """Row sums for every individual, shape (n,)."""
-    return network.weights.sum(axis=1)
-
-
 def generate_network(config: GeneratorConfig) -> Network:
     """Draw a random weighted directed network.
 

@@ -15,14 +15,22 @@ Partial diffusions (fewer events than individuals) are handled by plain
 conditioning: the likelihood is the product over observed events only, with
 no censoring term for individuals that never acquired.
 
-`EventTable` freezes everything the likelihood needs into flat arrays (one
-block of naive individuals per event, with cached informed-connection and
-total-connection sums), so one evaluation is a handful of vectorized
-operations regardless of how many optimizer iterations follow.
+`EventTable` stores the diffusion as *runs*.  A naive individual's sums
+``(w_informed, total)`` change only when one of its in-neighbours acquires,
+so each individual's time as a naive individual splits into a few stretches
+of events with constant sums, and every built-in rate is constant along a
+stretch.  One evaluation calls the rule's ``sums_rate`` once per run and
+forms the D event denominators from one prefix sum of rate changes: a run
+adds its rate minus the rate of the run it replaces, and an acquirer's
+rate leaves after its event.  It costs O(runs + D), where D is the number of
+events and runs <= n + the number of edges whose source acquires before
+its target: about 11 000 runs for n = 1000 at 2 % density, against the
+500 500 (event, naive individual) slots of a complete diffusion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,28 +95,108 @@ class DiffusionData:
 
 @dataclass(frozen=True)
 class EventTable:
-    """Flattened per-event likelihood ingredients.
+    """Per-run likelihood ingredients of one diffusion.
 
-    Block ``k`` (acquisition event k) spans ``flat_start[k]:flat_start[k+1]``
-    in the flat arrays and lists every individual still naive just before
-    that event.  ``acquirer_slot[k]`` indexes the acquirer's position inside
-    the flat arrays.
+    Run ``r`` is a stretch of events ``run_start[r] <= k < run_end[r]``
+    during which individual ``run_individual[r]`` is naive and its sums
+    ``run_w[r]`` (connection to informed individuals) and ``run_total[r]``
+    (total connection) stay constant.  A run starts at event 0 or right
+    after an in-neighbour acquires; it ends when the next in-neighbour
+    acquires or the individual itself acquires.  ``run_prev[r]`` is the run
+    of the same individual that ``r`` replaces (-1 for the runs starting at
+    event 0, which are runs ``0..n-1`` of individuals ``0..n-1``); runs are
+    numbered in order of ``run_start``.  Once every in-neighbour is
+    informed, ``run_w`` is exactly ``run_total``, so the weight to naive
+    individuals ``run_total - run_w`` is exactly 0, with no summation
+    residue.  ``acquirer_run[k]`` is the run of event k's acquirer and
+    ``n_naive[k]`` the size of the naive set just before event k.
+
+    Event k's denominator is ``n_naive[k] + S_k``, where ``S_k`` sums the
+    rates of the runs present at k.  The likelihood forms every ``S_k`` as
+    one prefix sum: a run adds its rate minus the rate of the run it
+    replaces at its start, and an acquirer's rate leaves after its event.
+    With ε = 2**-53 the absolute round-off error of ``S_k`` is of order
+    ε·(R_k + k)·M_k, where R_k is the number of runs started by event k and
+    M_k the largest rate, rate change or ``S`` met up to k; a direct sum over
+    the naive set has ε·n·S_k.  The difference matters only where very
+    large rates left the naive set before a small denominator.  Measured:
+    the NLL agrees with an event-by-event sum to 1e-10 relative for rates
+    up to 1e6 on random small networks, and to 3e-15 at threshold c = 1e8
+    and simple s = 1e6 on 1000-individual networks at 2 % density.
+
+    The dense layout, one slot per (event, naive individual), is available
+    as read-only views derived on first access: ``naive_flat``,
+    ``w_informed_flat``, ``total_flat``, ``flat_start`` (block offsets: event
+    k spans ``flat_start[k]:flat_start[k+1]``, naive individuals in
+    ascending order) and ``acquirer_slot``.  The likelihood never reads them.
     """
 
     data: DiffusionData
-    naive_flat: np.ndarray        # individual index per (event, naive) slot
-    w_informed_flat: np.ndarray   # sum of connections to informed, per slot
-    total_flat: np.ndarray        # total connection strength, per slot
-    flat_start: np.ndarray        # (D+1,) block offsets
-    acquirer_slot: np.ndarray     # (D,) flat index of each event's acquirer
+    run_individual: np.ndarray  # (R,) individual of each run
+    run_w: np.ndarray           # (R,) sum of connections to informed
+    run_total: np.ndarray       # (R,) total connection strength
+    run_start: np.ndarray       # (R,) first event of the run, non-decreasing
+    run_end: np.ndarray         # (R,) one past the last event of the run
+    run_prev: np.ndarray        # (R,) run replaced at run_start, -1 if none
+    acquirer_run: np.ndarray    # (D,) run of each event's acquirer
+    n_naive: np.ndarray         # (D,) naive-set size before each event
 
     @property
     def n_events(self) -> int:
         return self.data.n_events
 
+    @property
+    def n_runs(self) -> int:
+        return self.run_w.size
+
+    @functools.cached_property
+    def _flow_index(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(first replacing run, start offset of each event's runs, events
+        where no run starts), for `_nll_from_rates`."""
+        first = self.data.network.n
+        bounds = np.searchsorted(self.run_start, np.arange(self.n_events + 1))
+        empty = np.flatnonzero(bounds[:-1] == bounds[1:])
+        return first, bounds[:-1], empty
+
+    @functools.cached_property
+    def _flat(self) -> tuple[np.ndarray, ...]:
+        span = self.run_end - self.run_start
+        run = np.repeat(np.arange(self.n_runs), span)
+        event = self.run_start[run] + np.arange(run.size) - np.repeat(np.cumsum(span) - span, span)
+        run = run[np.lexsort((self.run_individual[run], event))]
+        starts = np.zeros(self.n_events + 1, dtype=np.int64)
+        np.cumsum(self.n_naive, out=starts[1:])
+        event = np.repeat(np.arange(self.n_events), self.n_naive)
+        acq_slot = np.flatnonzero(run == self.acquirer_run[event])
+        views = (self.run_individual[run], self.run_w[run], self.run_total[run],
+                 starts, acq_slot)
+        for arr in views:
+            arr.setflags(write=False)
+        return views
+
+    @property
+    def naive_flat(self) -> np.ndarray:
+        return self._flat[0]
+
+    @property
+    def w_informed_flat(self) -> np.ndarray:
+        return self._flat[1]
+
+    @property
+    def total_flat(self) -> np.ndarray:
+        return self._flat[2]
+
+    @property
+    def flat_start(self) -> np.ndarray:
+        return self._flat[3]
+
+    @property
+    def acquirer_slot(self) -> np.ndarray:
+        return self._flat[4]
+
 
 def build_event_table(data: DiffusionData) -> EventTable:
-    """Precompute the flat likelihood table for one diffusion."""
+    """Walk the events once and record each naive individual's runs."""
     require_valid(data.network)
     w = data.network.weights
     n = w.shape[0]
@@ -116,55 +204,73 @@ def build_event_table(data: DiffusionData) -> EventTable:
     d = order.size
 
     totals = w.sum(axis=1)
-    w_informed = np.zeros(n)          # running sum_j a_ij z_j for everyone
+    w_informed = np.zeros(n)          # running sum_j a_ij z_j for the naive
     naive_mask = np.ones(n, dtype=bool)
+    # naive in-neighbours left, counted exactly so that saturation is exact
+    naive_links = np.count_nonzero(w > 0, axis=1)
+    current = np.arange(n)            # open run of each individual
+    # run chunks in order of their start; runs 0..n-1 open at event 0
+    who, run_w = [np.arange(n)], [np.zeros(n)]
+    start, prev = [np.zeros(n, dtype=np.int64)], [np.full(n, -1)]
+    acq_run = np.empty(d, dtype=np.int64)
+    n_runs = n
 
-    sizes = n - np.arange(d)
-    total_slots = int(sizes.sum())
-    naive_flat = np.empty(total_slots, dtype=np.int64)
-    w_flat = np.empty(total_slots)
-    tot_flat = np.empty(total_slots)
-    starts = np.zeros(d + 1, dtype=np.int64)
-    acq_slot = np.empty(d, dtype=np.int64)
-
-    pos = 0
     for k, acq in enumerate(order):
-        idx = np.flatnonzero(naive_mask)
-        m = idx.size
-        naive_flat[pos : pos + m] = idx
-        w_flat[pos : pos + m] = w_informed[idx]
-        tot_flat[pos : pos + m] = totals[idx]
-        where = np.searchsorted(idx, acq)
-        acq_slot[k] = pos + where
-        starts[k + 1] = pos + m
-        pos += m
+        acq_run[k] = current[acq]
         naive_mask[acq] = False
-        w_informed += w[:, acq]
+        nbrs = np.flatnonzero((w[:, acq] > 0) & naive_mask)
+        w_informed[nbrs] += w[nbrs, acq]
+        naive_links[nbrs] -= 1
+        full = nbrs[naive_links[nbrs] == 0]
+        w_informed[full] = totals[full]
+        if k + 1 == d or nbrs.size == 0:
+            continue
+        who.append(nbrs)
+        run_w.append(w_informed[nbrs])
+        start.append(np.full(nbrs.size, k + 1, dtype=np.int64))
+        prev.append(current[nbrs])
+        current[nbrs] = np.arange(n_runs, n_runs + nbrs.size)
+        n_runs += nbrs.size
 
-    for arr in (naive_flat, w_flat, tot_flat, starts, acq_slot):
-        arr.setflags(write=False)
-    return EventTable(
-        data=data,
-        naive_flat=naive_flat,
-        w_informed_flat=w_flat,
-        total_flat=tot_flat,
-        flat_start=starts,
-        acquirer_slot=acq_slot,
+    who, run_w, start, prev = (np.concatenate(c) for c in (who, run_w, start, prev))
+    end = np.full(n_runs, d, dtype=np.int64)
+    end[acq_run] = np.arange(1, d + 1)
+    end[prev[n:]] = start[n:]
+    arrays = dict(
+        run_individual=who, run_w=run_w, run_total=totals[who], run_start=start,
+        run_end=end, run_prev=prev, acquirer_run=acq_run, n_naive=n - np.arange(d),
     )
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return EventTable(data=data, **arrays)
 
 
-def _nll_from_sums(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
-    """Fast path: vectorized over the whole flat table, no validation.
+def _run_rates(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> np.ndarray:
+    return np.asarray(rule.sums_rate(params, table.run_w, table.run_total), dtype=float)
+
+
+def _nll_from_rates(t: np.ndarray, table: EventTable) -> float:
+    """NLL from one social rate per run.
 
     Returns +inf instead of nan when rates overflow, so optimizers always
     see an ordered objective.
     """
-    t = rule.sums_rate(params, table.w_informed_flat, table.total_flat)
-    r = np.asarray(t, dtype=float) + 1.0
-    denom = np.add.reduceat(r, table.flat_start[:-1])
+    first, groups, empty = table._flow_index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = float(np.log(denom).sum() - np.log(r[table.acquirer_slot]).sum())
+        change = np.append(t, 0.0)  # the pad lets trailing empty groups index R
+        change[first:-1] -= t[table.run_prev[first:]]
+        flow = np.add.reduceat(change, groups)
+        flow[empty] = 0.0
+        t_acq = t[table.acquirer_run]
+        flow[1:] -= t_acq[:-1]
+        denom = table.n_naive + np.cumsum(flow)
+        val = float(np.log(denom).sum() - np.log1p(t_acq).sum())
     return val if math.isfinite(val) else math.inf
+
+
+def _nll_from_sums(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
+    """Fast path: one rate per run, no validation."""
+    return _nll_from_rates(_run_rates(rule, params, table), table)
 
 
 def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
@@ -173,14 +279,10 @@ def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) 
     n = w.shape[0]
     z = np.zeros(n)
     nll = 0.0
-    for k, acq in enumerate(table.data.order):
-        lo, hi = table.flat_start[k], table.flat_start[k + 1]
-        rates = np.empty(hi - lo)
-        for slot in range(lo, hi):
-            i = table.naive_flat[slot]
-            rates[slot - lo] = rule.full_rate(params, w[i], z)
-        r = rates + 1.0
-        nll += math.log(r.sum()) - math.log(r[table.acquirer_slot[k] - lo])
+    for acq in table.data.order:
+        naive = np.flatnonzero(z == 0.0)
+        r = np.array([rule.full_rate(params, w[i], z) for i in naive]) + 1.0
+        nll += math.log(r.sum()) - math.log(r[np.searchsorted(naive, acq)])
         z[acq] = 1.0
     return nll
 
@@ -193,18 +295,16 @@ def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -
     in the table.
     """
     p = rule.check_params(params)
-    if rule.sums_rate is not None:
-        t = np.asarray(rule.sums_rate(p, table.w_informed_flat, table.total_flat), dtype=float)
-        if not np.isfinite(t).all() or (t < 0).any():
-            bad = t[~np.isfinite(t) | (t < 0)][0]
-            raise ValueError(f"rule {rule.kind!r} produced invalid rate {bad}")
-        r = t + 1.0
-        denom = np.add.reduceat(r, table.flat_start[:-1])
-        return float(np.log(denom).sum() - np.log(r[table.acquirer_slot]).sum())
-    nll = _nll_generic(rule, p, table)
-    if not np.isfinite(nll):
-        raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
-    return nll
+    if rule.sums_rate is None:
+        nll = _nll_generic(rule, p, table)
+        if not np.isfinite(nll):
+            raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
+        return nll
+    t = _run_rates(rule, p, table)
+    if not np.isfinite(t).all() or (t < 0).any():
+        bad = t[~np.isfinite(t) | (t < 0)][0]
+        raise ValueError(f"rule {rule.kind!r} produced invalid rate {bad}")
+    return _nll_from_rates(t, table)
 
 
 def asocial_nll(table: EventTable) -> float:
@@ -212,8 +312,7 @@ def asocial_nll(table: EventTable) -> float:
 
     Equals log(n!) for a complete diffusion on n individuals.
     """
-    sizes = np.diff(table.flat_start)
-    return float(np.log(sizes.astype(float)).sum())
+    return float(np.log(table.n_naive.astype(float)).sum())
 
 
 def aicc(nll: float, k: int, n_events: int) -> float:

@@ -8,7 +8,7 @@ can replace it with a bootstrap-calibrated value.
 
 Endpoint search: geometric bracket expansion away from the MLE (factor 2,
 initial offset 10% of |MLE| with a 1e-3 floor) followed by bisection to a
-1e-4 relative tolerance.  A side that reaches the parameter's box bound
+1e-4 relative tolerance.  A side that reaches the fit's box bound
 while still inside the region is truncated there and flagged
 ``at_*_bound``; a side that reaches the search ceiling (1e6 x max(1, |MLE|))
 without crossing is reported as *open*.  If the scan sees several sign
@@ -137,14 +137,17 @@ def profile_nll(
     For single-parameter rules this is just the NLL at the pinned value.
     The inner optimizer starts from ``start_free`` (default: the fit MLE's
     free components) and is itself multi-started; +inf with a raised
-    ValueError is reserved for pins outside the parameter box.
+    ValueError is reserved for pins outside the parameter box.  The box is
+    the one ``fit`` searched (`FitResult.box`) when a fit is given, else
+    the rule's own.
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)
     cfg = config or ProfileConfig()
     k = rule.n_params
     if not 0 <= param_index < k:
         raise ValueError(f"param_index {param_index} out of range for k={k}")
-    lo, hi = rule.lower[param_index], rule.upper[param_index]
+    box_lower, box_upper = fit.box if fit is not None else (rule.lower, rule.upper)
+    lo, hi = box_lower[param_index], box_upper[param_index]
     if not (lo <= value <= hi):
         raise ValueError(
             f"pinned value {value} outside bounds [{lo}, {hi}] "
@@ -155,20 +158,17 @@ def profile_nll(
         v = objective(np.array([value]))
         return v if math.isfinite(v) else math.inf
 
-    free_idx = [i for i in range(k) if i != param_index]
     if start_free is not None:
         start = np.asarray(start_free, dtype=float)
     elif fit is not None:
-        start = fit.mle[free_idx]
+        start = np.delete(fit.mle, param_index)
     else:
-        start = np.asarray(rule.default_start, dtype=float)[free_idx]
-    lower = [rule.lower[i] for i in free_idx]
-    upper = [rule.upper[i] for i in free_idx]
+        start = np.delete(np.asarray(rule.default_start, dtype=float), param_index)
     ms = minimize_multistart(
         lambda free: objective(_pin(k, param_index, value, free)),
         start,
-        lower,
-        upper,
+        np.delete(box_lower, param_index),
+        np.delete(box_upper, param_index),
         restarts=cfg.inner_restarts,
         tolerance=cfg.tolerance,
         max_evals=cfg.inner_max_evals,
@@ -187,10 +187,10 @@ class _ProfileSide:
         self.k = rule.n_params
         self.objective = nll_objective(rule, table)
         if self.k > 1:
-            free_idx = [i for i in range(self.k) if i != param_index]
-            self.start_free = fit.mle[free_idx].copy()
-            self.lower = [rule.lower[i] for i in free_idx]
-            self.upper = [rule.upper[i] for i in free_idx]
+            lower, upper = fit.box
+            self.start_free = np.delete(fit.mle, param_index)
+            self.lower = np.delete(lower, param_index)
+            self.upper = np.delete(upper, param_index)
 
     def __call__(self, value: float) -> float:
         if self.k == 1:
@@ -354,12 +354,13 @@ def profile_ci(
     lower_side = _ProfileSide(fit.table, rule, param_index, fit, cfg)
     upper_side = _ProfileSide(fit.table, rule, param_index, fit, cfg)
     mle_value = float(fit.mle[param_index])
+    lower, upper = fit.box
     ci = profile_interval(
         lower_side,
         mle_value,
         fit.nll,
-        lower_bound=rule.lower[param_index],
-        upper_bound=rule.upper[param_index],
+        lower_bound=lower[param_index],
+        upper_bound=upper[param_index],
         config=cfg,
         param_index=param_index,
         param_name=rule.param_names[param_index],

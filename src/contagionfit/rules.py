@@ -133,12 +133,6 @@ class TransmissionRule:
             return float(np.asarray(r).ravel()[0])
         return float(self.full_rate(np.asarray(params, float), a, z))
 
-    def rates_from_sums(self, params, w_informed, total) -> np.ndarray:
-        """Vectorized rates from cached sums; only when sums_rate exists."""
-        if self.sums_rate is None:
-            raise ValueError(f"rule {self.kind!r} has no sums fast path")
-        return self.sums_rate(np.asarray(params, float), w_informed, total)
-
 
 # --- built-in rate kernels (module-level so rules pickle cleanly) ---
 

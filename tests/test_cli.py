@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from contagionfit.cli import main
 LN_120 = math.log(120.0)
 
 TOY_ORDER_TEXT = "4,5,2,3,1\n"
+DEMO_DATA = Path(__file__).resolve().parents[1] / "docs" / "experiment-specs" / "data"
 
 
 @pytest.fixture()
@@ -69,6 +71,20 @@ def test_fit_with_ci_flag(toy_files, tmp_path):
     report = json.loads(out.read_text())
     assert len(report["ci"]) == 1
     assert report["ci"][0]["param"] == "s"
+
+
+def test_fit_ci_stays_inside_user_box(capsys):
+    # the unbounded interval for this demo reaches s = 9.26
+    code = main([
+        "fit", "--network", str(DEMO_DATA / "demo_network.csv"),
+        "--order", str(DEMO_DATA / "demo_order.txt"),
+        "--rule", "simple", "--ci", "--upper", "2.0", "--json",
+    ])
+    assert code == 0
+    ci = json.loads(capsys.readouterr().out)["ci"][0]
+    assert ci["upper"] <= 2.0
+    assert ci["at_upper_bound"]
+    assert not ci["upper_open"]
 
 
 def test_fit_threshold_fix_b(toy_files, tmp_path):

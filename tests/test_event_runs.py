@@ -1,0 +1,195 @@
+"""Property tests of the run-based event table against event-by-event twins.
+
+The twins recompute every event from the weight matrix and the order: the
+naive set, each naive individual's weight to informed individuals and its
+weight to naive individuals, the latter summed directly rather than taken
+as ``total - w_informed``.  They share no code with `build_event_table`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
+
+from contagionfit import (
+    DiffusionData,
+    FitConfig,
+    GeneratorConfig,
+    Network,
+    ProfileConfig,
+    build_event_table,
+    fit_oada,
+    frequency_dependent_rule,
+    generate_network,
+    negative_log_likelihood,
+    profile_ci,
+    rule_from_name,
+    simulate_diffusion,
+)
+
+NLL_RTOL = 1e-10
+SATURATION_RTOL = 1e-12
+PROB_SUM_TOL = 1e-10
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def twin_rates(kind, params, w_inf, w_naive):
+    """Social rates from the rule formulas, given both weights directly."""
+    if kind == "asocial":
+        return np.zeros_like(w_inf)
+    if kind == "simple":
+        return params[0] * w_inf
+    total = w_inf + w_naive
+    if kind == "proportional":
+        return params[0] * np.divide(w_inf, total, out=np.zeros_like(w_inf), where=total > 0)
+    if kind == "freqdep":
+        s, f = params
+        out = np.zeros_like(w_inf)
+        out[(w_inf > 0) & (w_naive == 0)] = s
+        mixed = (w_inf > 0) & (w_naive > 0)
+        out[mixed] = s * expit(-f * (np.log(w_naive[mixed]) - np.log(w_inf[mixed])))
+        return out
+    if kind == "threshold":
+        a, c = params
+        eps = expit(-3.0 * a)
+        return (c / (1.0 - eps)) * (expit(3.0 * (w_inf - a)) - eps)
+    raise AssertionError(kind)
+
+
+def twin_nll(kind, params, weights, order):
+    informed = np.zeros(weights.shape[0])
+    nll = 0.0
+    for acq in order:
+        naive = np.flatnonzero(informed == 0)
+        w_inf = weights[naive] @ informed
+        w_naive = weights[naive] @ (1.0 - informed)
+        r = 1.0 + twin_rates(kind, params, w_inf, w_naive)
+        nll += math.log(r.sum()) - math.log(r[np.searchsorted(naive, acq)])
+        informed[acq] = 1.0
+    return nll
+
+
+def dense_layout(weights, order):
+    """One slot per (event, naive individual), built the way the flat table
+    always was, with the weight to informed individuals set to exactly the
+    total once no in-neighbour is naive."""
+    n = weights.shape[0]
+    totals = weights.sum(axis=1)
+    w_informed = np.zeros(n)
+    naive_mask = np.ones(n, dtype=bool)
+    naive, w_inf, tot, starts, acq_slot = [], [], [], [0], []
+    for acq in order:
+        idx = np.flatnonzero(naive_mask)
+        links_left = ((weights[idx] > 0) & naive_mask).sum(axis=1)
+        acq_slot.append(starts[-1] + int(np.searchsorted(idx, acq)))
+        naive.append(idx)
+        w_inf.append(np.where(links_left == 0, totals[idx], w_informed[idx]))
+        tot.append(totals[idx])
+        starts.append(starts[-1] + idx.size)
+        naive_mask[acq] = False
+        w_informed += weights[:, acq]
+    return (np.concatenate(naive), np.concatenate(w_inf), np.concatenate(tot),
+            np.array(starts), np.array(acq_slot))
+
+
+@st.composite
+def diffusions(draw, max_n=8):
+    """Asymmetric weights with zero rows and isolated individuals, and an
+    order that may stop before everyone acquires."""
+    n = draw(st.integers(2, max_n))
+    w = draw(arrays(np.float64, (n, n), elements=st.floats(0.05, 5.0)))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    links = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) < density
+    w[~links] = 0.0
+    np.fill_diagonal(w, 0.0)
+    zero_rows = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    w[zero_rows, :] = 0.0
+    isolated = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    w[isolated, :] = 0.0
+    w[:, isolated] = 0.0
+    order = draw(st.permutations(range(n)))
+    d = draw(st.integers(1, n))
+    return w, np.array(order[:d])
+
+
+def builtin_params():
+    """In-box parameters for every built-in rule, rates up to 1e6."""
+    rate = st.one_of(st.floats(0.0, 10.0), st.floats(10.0, 1e6))
+    return st.fixed_dictionaries({
+        "asocial": st.just(()),
+        "simple": st.tuples(rate),
+        "proportional": st.tuples(rate),
+        "freqdep": st.tuples(rate, st.floats(0.2, 20.0)),
+        "threshold": st.tuples(st.floats(0.0, 5.0), rate),
+    })
+
+
+@PROPERTY_SETTINGS
+@given(diffusions(), builtin_params())
+def test_run_nll_matches_event_by_event_twin(diffusion, params):
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    for kind, p in params.items():
+        got = negative_log_likelihood(rule_from_name(kind), list(p), table)
+        want = twin_nll(kind, p, w, order)
+        assert got == pytest.approx(want, rel=NLL_RTOL, abs=NLL_RTOL), kind
+
+
+@PROPERTY_SETTINGS
+@given(diffusions())
+def test_flat_views_reproduce_dense_layout(diffusion):
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    views = (table.naive_flat, table.w_informed_flat, table.total_flat,
+             table.flat_start, table.acquirer_slot)
+    for got, want in zip(views, dense_layout(w, order)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@PROPERTY_SETTINGS
+@given(diffusions(max_n=6), builtin_params())
+def test_next_event_probabilities_sum_to_one(diffusion, params):
+    w, order = diffusion
+    net = Network(w)
+    prefix = order[:-1]
+    naive = np.setdiff1d(np.arange(net.n), prefix)
+    for kind, p in params.items():
+        rule = rule_from_name(kind)
+
+        def nll(o):
+            return negative_log_likelihood(rule, list(p), build_event_table(DiffusionData(net, o)))
+
+        base = nll(prefix) if prefix.size else 0.0
+        total = sum(math.exp(base - nll(np.append(prefix, i))) for i in naive)
+        assert total == pytest.approx(1.0, abs=PROB_SUM_TOL), kind
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(diffusions(), st.sampled_from(["simple", "proportional", "freqdep", "threshold"]))
+def test_fit_and_profile_leave_flat_views_unbuilt(diffusion, kind):
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    rule = rule_from_name(kind)
+    fit = fit_oada(table, rule, FitConfig(restarts=1))
+    for i in range(rule.n_params):
+        profile_ci(fit, i, config=ProfileConfig(inner_restarts=0))
+    assert "_flat" not in vars(table)
+
+
+def test_saturated_individuals_have_exactly_zero_naive_weight():
+    # the freqdep fit of this replicate sits at f's lower bound, where a
+    # rounding residue in total - w_informed used to shift the NLL by 9e-4
+    net = generate_network(GeneratorConfig(
+        n=100, sparsity_threshold=0.7, multiplier_max=3.0,
+        seed=np.random.SeedSequence([23, 1, 4, 0]),
+    ))
+    rule = frequency_dependent_rule()
+    data, _ = simulate_diffusion(net, rule, [10.0, 3.0], seed=np.random.SeedSequence([23, 1, 4, 1]))
+    got = negative_log_likelihood(rule, [10.0, 0.2], build_event_table(data))
+    want = twin_nll("freqdep", (10.0, 0.2), net.weights, data.order)
+    assert got == pytest.approx(want, rel=SATURATION_RTOL)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import contagionfit.experiments as exp_mod
 from contagionfit import (
     CalibrationError,
     DEFAULT_CUTOFF,
+    DiffusionData,
     ExperimentConfig,
     FitConfig,
     GeneratorConfig,
@@ -18,6 +20,8 @@ from contagionfit import (
     fit_oada,
     frequency_dependent_rule,
     generate_network,
+    load_network_csv,
+    load_order_file,
     run_coverage_experiment,
     run_manifest,
     run_selection_experiment,
@@ -29,6 +33,7 @@ from contagionfit import (
 from contagionfit.experiments import calibrated_cutoff
 
 CHI2_CUTOFF_TOL = 0.15
+DEMO_DATA = Path(__file__).resolve().parents[1] / "docs" / "experiment-specs" / "data"
 
 
 # -------------------------------------------------------------- expand_grid
@@ -238,6 +243,17 @@ def test_calibrate_ci_basics(quick_fit):
     assert result.adjusted.lower <= result.unadjusted.lower
     assert result.adjusted.upper >= result.unadjusted.upper
     json.dumps(result.report_dict())
+
+
+def test_calibrate_ci_stays_inside_fit_box():
+    # the demo's unbounded interval for s is about [0.25, 9.26]
+    net = load_network_csv(str(DEMO_DATA / "demo_network.csv"))
+    data = DiffusionData(net, load_order_file(str(DEMO_DATA / "demo_order.txt")))
+    fit = fit_oada(data, simple_rule(), FitConfig(restarts=3, upper=(2.0,)))
+    result = calibrate_ci(fit, 0, reps=20, seed=5)
+    assert result.unadjusted.upper <= 2.0
+    assert result.adjusted.upper <= 2.0
+    assert result.adjusted.at_upper_bound
 
 
 def test_calibrate_ci_reproducible(quick_fit):

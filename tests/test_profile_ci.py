@@ -203,6 +203,21 @@ def test_profile_ci_lower_bound_truncation():
     assert ci.contains(0.0)
 
 
+def test_profile_respects_fit_box(freqdep_fit):
+    # refit inside a box that cuts through both intervals of the free fit
+    free = freqdep_fit
+    ci_s, ci_f = profile_ci(free, 0), profile_ci(free, 1)
+    upper = (0.5 * (free.mle[0] + ci_s.upper), 0.5 * (free.mle[1] + ci_f.upper))
+    fit = fit_oada(free.table, free.rule, FitConfig(upper=upper))
+    for i in range(2):
+        ci = profile_ci(fit, i)
+        assert ci.upper <= upper[i]
+        assert ci.at_upper_bound
+        assert all(x <= upper[i] for x, _ in ci.profile_points)
+    with pytest.raises(ValueError, match="outside bounds"):
+        profile_nll(fit.table, fit.rule, 0, 1.01 * upper[0], fit=fit)
+
+
 def test_profile_ci_rejects_bad_index(freqdep_fit):
     with pytest.raises(ValueError, match="out of range"):
         profile_ci(freqdep_fit, 2)
