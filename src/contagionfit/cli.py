@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .experiments import (
+    FIT_ERRORS,
     CalibrationError,
     ExperimentConfig,
     calibrate_ci,
@@ -83,22 +84,43 @@ def _parse_fixes(pairs) -> dict[str, float]:
     return fixes
 
 
-def _build_rule(name: str, fixes: dict[str, float], estimate_b: bool, f_lower: float | None):
+def _build_rule(name: str, b: float | None, estimate_b: bool, f_lower: float | None):
+    """A built-in rule by name, given the constants it owns (threshold: ``b``
+    and ``estimate_b``; freqdep: ``f_lower``) and not the others."""
     name = name.strip().lower()
     kwargs = {}
     if name == "threshold":
-        if "b" in fixes:
-            kwargs["sharpness"] = fixes.pop("b")
+        if b is not None:
+            kwargs["sharpness"] = b
         if estimate_b:
             kwargs["estimate_sharpness"] = True
     if name == "freqdep" and f_lower is not None:
         kwargs["f_lower"] = f_lower
-    rule = rule_from_name(name, **kwargs)
-    if fixes:
-        raise ValueError(
-            f"rule {name!r} has no fixable constant named {sorted(fixes)[0]!r}"
-        )
-    return rule
+    return rule_from_name(name, **kwargs)
+
+
+def _rules_from_args(names, args) -> list:
+    """The named rules with the command line's rule options (``--fix``,
+    ``--estimate-b``, ``--f-lower``) applied to the rules that own them; an
+    option that none of them owns is an input error."""
+    fixes = _parse_fixes(args.fix)
+    b = fixes.pop("b", None)
+    rules = [_build_rule(name, b, args.estimate_b, args.f_lower) for name in names]
+    kinds = {rule.kind for rule in rules}
+    options = [(f"--fix {name}", None) for name in sorted(fixes)]
+    if b is not None:
+        options.append(("--fix b", "threshold"))
+    if args.estimate_b:
+        options.append(("--estimate-b", "threshold"))
+    if args.f_lower is not None:
+        options.append(("--f-lower", "freqdep"))
+    for option, owner in options:
+        if owner not in kinds:
+            raise ValueError(
+                f"{option}: no requested rule ({', '.join(sorted(kinds))}) "
+                "has that constant"
+            )
+    return rules
 
 
 def _load_order(value: str) -> np.ndarray:
@@ -131,7 +153,7 @@ def _format_value(v: float) -> str:
 
 def cmd_fit(args) -> int:
     data = _load_data(args)
-    rule = _build_rule(args.rule, _parse_fixes(args.fix), args.estimate_b, args.f_lower)
+    [rule] = _rules_from_args([args.rule], args)
     cfg = _fit_config(args)
     result = fit_oada(data, rule, cfg)
 
@@ -218,7 +240,7 @@ def cmd_simulate(args) -> int:
         network = load_network_csv(args.network, header=args.header)
     else:
         network = generate_network(_parse_generator(args.generate))
-    rule = _build_rule(args.rule, _parse_fixes(args.fix), args.estimate_b, args.f_lower)
+    [rule] = _rules_from_args([args.rule], args)
     params = _parse_floats(args.params, "--params") if args.params else ()
     if len(params) != rule.n_params:
         raise ValueError(
@@ -250,10 +272,7 @@ def cmd_compare(args) -> int:
     names = [tok.strip() for tok in args.rules.split(",") if tok.strip()]
     if not names:
         return _fail("--rules must name at least one rule")
-    rules = [
-        _build_rule(name, _parse_fixes(args.fix), args.estimate_b, args.f_lower)
-        for name in names
-    ]
+    rules = _rules_from_args(names, args)
     kinds = [r.kind for r in rules]
     if len(set(kinds)) != len(kinds):
         return _fail(f"duplicate rules requested: {','.join(kinds)}")
@@ -266,7 +285,7 @@ def cmd_compare(args) -> int:
     for rule in rules:
         try:
             fits.append(fit_oada(table, rule, cfg))
-        except Exception as exc:  # a failed row must not sink the table
+        except FIT_ERRORS as exc:  # a failed row must not sink the table
             failed.append(rule.kind)
             print(f"warning: fit of {rule.kind!r} failed: {exc}", file=sys.stderr)
 
@@ -308,15 +327,12 @@ def _rule_from_spec(doc, where: str):
     extra = set(doc) - {"name", "b", "estimate_b", "f_lower"}
     if extra:
         raise ValueError(f"{where}: unknown field {sorted(extra)[0]!r}")
-    kwargs = {}
-    if doc["name"] == "threshold":
-        if "b" in doc:
-            kwargs["sharpness"] = float(doc["b"])
-        if doc.get("estimate_b"):
-            kwargs["estimate_sharpness"] = True
-    if doc["name"] == "freqdep" and "f_lower" in doc:
-        kwargs["f_lower"] = float(doc["f_lower"])
-    return rule_from_name(str(doc["name"]), **kwargs)
+    return _build_rule(
+        str(doc["name"]),
+        b=float(doc["b"]) if "b" in doc else None,
+        estimate_b=bool(doc.get("estimate_b")),
+        f_lower=float(doc["f_lower"]) if "f_lower" in doc else None,
+    )
 
 
 def _require(spec: dict, field: str, kind, where: str = "spec"):
@@ -330,6 +346,21 @@ def _require(spec: dict, field: str, kind, where: str = "spec"):
     return value
 
 
+def _run_settings(spec: dict, args) -> tuple[int, int, FitConfig]:
+    """A spec's reps, seed and ``fit`` settings, with the --reps and --seed
+    overrides applied."""
+    reps = args.reps if args.reps is not None else _require(spec, "reps", int)
+    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    fit_doc = spec.get("fit", {})
+    fit_cfg = FitConfig(
+        restarts=int(fit_doc.get("restarts", 8)),
+        tolerance=float(fit_doc.get("tolerance", 1e-8)),
+        max_evals=int(fit_doc.get("max_evals", 20000)),
+        seed=seed,
+    )
+    return int(reps), seed, fit_cfg
+
+
 def _experiment_config(spec: dict, args) -> ExperimentConfig:
     generator = _generator_from_dict(_require(spec, "generator", dict), "generator")
     true_rule = _rule_from_spec(_require(spec, "true_rule", dict), "true_rule")
@@ -341,14 +372,7 @@ def _experiment_config(spec: dict, args) -> ExperimentConfig:
         _rule_from_spec(d if isinstance(d, dict) else {"name": d}, "candidates")
         for d in spec.get("candidates", [])
     )
-    reps = args.reps if args.reps is not None else _require(spec, "reps", int)
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    fit_doc = spec.get("fit", {})
-    fit_cfg = FitConfig(
-        restarts=int(fit_doc.get("restarts", 8)),
-        tolerance=float(fit_doc.get("tolerance", 1e-8)),
-        max_evals=int(fit_doc.get("max_evals", 20000)),
-    )
+    reps, seed, fit_cfg = _run_settings(spec, args)
     prof_doc = spec.get("profile", {})
     prof_cfg = ProfileConfig(
         cutoff=float(prof_doc.get("cutoff", 1.92)),
@@ -361,7 +385,7 @@ def _experiment_config(spec: dict, args) -> ExperimentConfig:
             true_rule=true_rule,
             grid=grid,
             candidates=candidates,
-            reps=int(reps),
+            reps=reps,
             base_seed=seed,
             fit=fit_cfg,
             profile=prof_cfg,
@@ -418,21 +442,13 @@ def _run_calibrate_spec(spec: dict, args) -> int:
     param = _require(spec, "param", str)
     if param not in rule.param_names:
         raise ValueError(f"spec: param {param!r} is not a parameter of {rule.kind!r}")
-    reps = args.reps if args.reps is not None else _require(spec, "reps", int)
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    fit_doc = spec.get("fit", {})
-    fit_cfg = FitConfig(
-        restarts=int(fit_doc.get("restarts", 8)),
-        tolerance=float(fit_doc.get("tolerance", 1e-8)),
-        max_evals=int(fit_doc.get("max_evals", 20000)),
-        seed=seed,
-    )
+    reps, seed, fit_cfg = _run_settings(spec, args)
     fit = fit_oada(data, rule, fit_cfg)
     try:
         result = calibrate_ci(
             fit,
             rule.param_names.index(param),
-            reps=int(reps),
+            reps=reps,
             seed=seed,
             fit_config=fit_cfg,
         )

@@ -7,12 +7,14 @@ stream each for network generation, diffusion simulation and optimizer
 jitter.  Aggregation is by replicate index, so runs are bit-identical
 whether replicates execute serially or across worker processes.
 
-Replicates whose model fits raise are counted as failures and excluded from
-the affected cell's tallies; the counts appear in every result row.
+Replicates whose model fits raise one of `FIT_ERRORS` are counted as
+failures and excluded from the affected cell's tallies; the counts appear in
+every result row.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import time
@@ -48,6 +50,9 @@ __all__ = [
 ]
 
 Z_95 = 1.959963984540054  # normal 0.975 quantile for binomial half-widths
+# what a fit on unlucky data may raise (numpy's LinAlgError is a ValueError);
+# TypeError, IndexError and the like are bugs and must propagate
+FIT_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
 class CalibrationError(RuntimeError):
@@ -149,7 +154,7 @@ def _selection_replicate(args) -> int:
             res = fit_oada(table, rule, fit_cfg)
             aiccs.append(res.aicc)
             ks.append(res.k)
-    except Exception:
+    except FIT_ERRORS:
         return -1
     return min(range(len(aiccs)), key=lambda i: (aiccs[i], ks[i], i))
 
@@ -173,7 +178,7 @@ def _coverage_replicate(args) -> tuple[int, ...] | None:
             truth = cell[config.true_rule.param_names[p_idx]]
             out.append(1 if ci.contains(truth) else 0)
         return tuple(out)
-    except Exception:
+    except FIT_ERRORS:
         return None
 
 
@@ -402,7 +407,7 @@ def calibrate_ci(
                 table, rule, param_index, gen_value, fit=rep_fit, config=prof_cfg
             )
             lr = 2.0 * (pnll - rep_fit.nll)
-        except Exception:
+        except FIT_ERRORS:
             n_failed += 1
             continue
         if not math.isfinite(lr):
@@ -421,14 +426,12 @@ def calibrate_ci(
     # containment guarantee: bisection noise must never shrink the interval
     merged_lower = min(adjusted.lower, unadjusted.lower)
     merged_upper = max(adjusted.upper, unadjusted.upper)
-    adjusted = ProfileCI(
-        **{
-            **adjusted.__dict__,
-            "lower": merged_lower,
-            "upper": merged_upper,
-            "lower_open": adjusted.lower_open or unadjusted.lower_open,
-            "upper_open": adjusted.upper_open or unadjusted.upper_open,
-        }
+    adjusted = replace(
+        adjusted,
+        lower=merged_lower,
+        upper=merged_upper,
+        lower_open=adjusted.lower_open or unadjusted.lower_open,
+        upper_open=adjusted.upper_open or unadjusted.upper_open,
     )
     return CalibrationResult(
         param_index=param_index,
@@ -453,52 +456,45 @@ def _cell_columns(rows) -> list[str]:
     return names
 
 
-def write_selection_csv(result: SelectionResult, path: str) -> None:
-    import csv
-
-    cell_cols = _cell_columns(result.rows)
+def _write_rows_csv(path: str, rows, columns: Sequence[str], values) -> None:
+    """One line per result row: the true cell values, then the row's label,
+    count and share (named by ``columns``, read by ``values(row)``) around the
+    replicate tallies."""
+    label, count, share = columns
+    cell_cols = _cell_columns(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [f"true_{c}" for c in cell_cols]
-            + ["rule", "favored_count", "n_ok", "n_failed", "proportion", "ci_half_width"]
+            + [label, count, "n_ok", "n_failed", share, "ci_half_width"]
         )
-        for row in result.rows:
+        for row in rows:
+            label_value, count_value, share_value = values(row)
             writer.writerow(
                 [repr(float(row.cell[c])) for c in cell_cols]
                 + [
-                    row.rule_kind,
-                    row.favored_count,
+                    label_value,
+                    count_value,
                     row.n_ok,
                     row.n_failed,
-                    repr(float(row.proportion)),
+                    repr(float(share_value)),
                     repr(float(row.ci_half_width)),
                 ]
             )
+
+
+def write_selection_csv(result: SelectionResult, path: str) -> None:
+    _write_rows_csv(
+        path, result.rows, ("rule", "favored_count", "proportion"),
+        lambda r: (r.rule_kind, r.favored_count, r.proportion),
+    )
 
 
 def write_coverage_csv(result: CoverageResult, path: str) -> None:
-    import csv
-
-    cell_cols = _cell_columns(result.rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"true_{c}" for c in cell_cols]
-            + ["param", "contained_count", "n_ok", "n_failed", "coverage", "ci_half_width"]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [repr(float(row.cell[c])) for c in cell_cols]
-                + [
-                    row.param_name,
-                    row.contained_count,
-                    row.n_ok,
-                    row.n_failed,
-                    repr(float(row.coverage)),
-                    repr(float(row.ci_half_width)),
-                ]
-            )
+    _write_rows_csv(
+        path, result.rows, ("param", "contained_count", "coverage"),
+        lambda r: (r.param_name, r.contained_count, r.coverage),
+    )
 
 
 def run_manifest(

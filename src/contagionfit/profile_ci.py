@@ -19,7 +19,7 @@ diagnostic records it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,19 +38,19 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 1.92
+FIRST_OFFSET_FRAC = 0.1
+FIRST_OFFSET_FLOOR = 1e-3
+CEILING_SCALE = 1e6
+INNER_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class ProfileConfig:
     cutoff: float = DEFAULT_CUTOFF
     bracket_factor: float = 2.0
-    first_offset_frac: float = 0.1
-    first_offset_floor: float = 1e-3
-    ceiling_scale: float = 1e6
     rel_tol: float = 1e-4
     inner_restarts: int = 2
     inner_max_evals: int = 4000
-    tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +60,6 @@ class ProfileConfig:
             raise ValueError("bracket_factor must be > 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
-        if self.first_offset_floor <= 0 or self.first_offset_frac <= 0:
-            raise ValueError("first offset settings must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +114,46 @@ class ProfileCI:
         }
 
 
-def _pin(full_k: int, index: int, value: float, free: np.ndarray) -> np.ndarray:
-    params = np.empty(full_k)
-    params[index] = value
-    params[np.arange(full_k) != index] = free
-    return params
+class _Profile:
+    """Profile NLL of one parameter: the module's only inner fit.
+
+    Pins parameter ``index`` and minimizes the NLL over the others in the box
+    [``lower``, ``upper``], from the free part of ``start``.  Pins on each side
+    of ``centre`` keep their own warm start, so one instance serves both
+    directions of an interval search and neither inherits the other's optimum.
+    """
+
+    def __init__(self, table, rule, index, lower, upper, start, centre, cfg):
+        self.objective = nll_objective(rule, table)
+        self.k = rule.n_params
+        self.index = index
+        self.centre = centre
+        self.cfg = cfg
+        if self.k > 1:
+            free_start = np.delete(np.asarray(start, dtype=float), index)
+            self.starts = {False: free_start, True: free_start}
+            self.lower = np.delete(lower, index)
+            self.upper = np.delete(upper, index)
+
+    def __call__(self, value: float) -> float:
+        if self.k == 1:
+            v = self.objective(np.array([value]))
+            return v if math.isfinite(v) else math.inf
+        side = value > self.centre
+        i = self.index
+        ms = minimize_multistart(
+            lambda free: self.objective(np.concatenate((free[:i], [value], free[i:]))),
+            self.starts[side],
+            self.lower,
+            self.upper,
+            restarts=self.cfg.inner_restarts,
+            tolerance=INNER_TOLERANCE,
+            max_evals=self.cfg.inner_max_evals,
+            seed=np.random.SeedSequence([self.cfg.seed, i]),
+        )
+        if math.isfinite(ms.fun):
+            self.starts[side] = ms.x
+        return ms.fun
 
 
 def profile_nll(
@@ -130,85 +163,32 @@ def profile_nll(
     value: float,
     fit: FitResult | None = None,
     config: ProfileConfig | None = None,
-    start_free=None,
 ) -> float:
     """NLL minimized over all parameters except the pinned one.
 
     For single-parameter rules this is just the NLL at the pinned value.
-    The inner optimizer starts from ``start_free`` (default: the fit MLE's
-    free components) and is itself multi-started; +inf with a raised
-    ValueError is reserved for pins outside the parameter box.  The box is
-    the one ``fit`` searched (`FitResult.box`) when a fit is given, else
-    the rule's own.
+    The inner optimizer starts from the fit MLE's free components (the
+    rule's default start without a fit) and is itself multi-started.  Pins
+    outside the parameter box raise ValueError.  The box is the one ``fit``
+    searched (`FitResult.box`) when a fit is given, else the rule's own.
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)
-    cfg = config or ProfileConfig()
     k = rule.n_params
     if not 0 <= param_index < k:
         raise ValueError(f"param_index {param_index} out of range for k={k}")
-    box_lower, box_upper = fit.box if fit is not None else (rule.lower, rule.upper)
+    if fit is not None:
+        (box_lower, box_upper), start = fit.box, fit.mle
+    else:
+        box_lower, box_upper, start = rule.lower, rule.upper, rule.default_start
     lo, hi = box_lower[param_index], box_upper[param_index]
     if not (lo <= value <= hi):
         raise ValueError(
             f"pinned value {value} outside bounds [{lo}, {hi}] "
             f"for {rule.param_names[param_index]}"
         )
-    objective = nll_objective(rule, table)
-    if k == 1:
-        v = objective(np.array([value]))
-        return v if math.isfinite(v) else math.inf
-
-    if start_free is not None:
-        start = np.asarray(start_free, dtype=float)
-    elif fit is not None:
-        start = np.delete(fit.mle, param_index)
-    else:
-        start = np.delete(np.asarray(rule.default_start, dtype=float), param_index)
-    ms = minimize_multistart(
-        lambda free: objective(_pin(k, param_index, value, free)),
-        start,
-        np.delete(box_lower, param_index),
-        np.delete(box_upper, param_index),
-        restarts=cfg.inner_restarts,
-        tolerance=cfg.tolerance,
-        max_evals=cfg.inner_max_evals,
-        seed=np.random.SeedSequence([cfg.seed, param_index]),
-    )
-    return ms.fun
-
-
-class _ProfileSide:
-    """Stateful profile evaluator with warm starts along one search path."""
-
-    def __init__(self, table, rule, param_index, fit, cfg):
-        self.rule = rule
-        self.param_index = param_index
-        self.cfg = cfg
-        self.k = rule.n_params
-        self.objective = nll_objective(rule, table)
-        if self.k > 1:
-            lower, upper = fit.box
-            self.start_free = np.delete(fit.mle, param_index)
-            self.lower = np.delete(lower, param_index)
-            self.upper = np.delete(upper, param_index)
-
-    def __call__(self, value: float) -> float:
-        if self.k == 1:
-            v = self.objective(np.array([value]))
-            return v if math.isfinite(v) else math.inf
-        ms = minimize_multistart(
-            lambda free: self.objective(_pin(self.k, self.param_index, value, free)),
-            self.start_free,
-            self.lower,
-            self.upper,
-            restarts=self.cfg.inner_restarts,
-            tolerance=self.cfg.tolerance,
-            max_evals=self.cfg.inner_max_evals,
-            seed=np.random.SeedSequence([self.cfg.seed, self.param_index]),
-        )
-        if math.isfinite(ms.fun):
-            self.start_free = ms.x  # warm start for the next pin
-        return ms.fun
+    pnll = _Profile(table, rule, param_index, box_lower, box_upper, start, value,
+                    config or ProfileConfig())
+    return pnll(value)
 
 
 def _search_side(
@@ -222,7 +202,7 @@ def _search_side(
 ):
     """Find one interval endpoint.  Returns (endpoint, open_flag, at_bound)."""
     target = nll_min + cfg.cutoff
-    ceiling_span = cfg.ceiling_scale * max(1.0, abs(mle))
+    ceiling_span = CEILING_SCALE * max(1.0, abs(mle))
     limit = mle + direction * ceiling_span
     limited_by_bound = False
     if direction > 0 and bound < limit:
@@ -233,7 +213,7 @@ def _search_side(
     if direction * (limit - mle) <= 0:  # MLE already sits on the bound
         return limit, False, True
 
-    step = max(cfg.first_offset_frac * abs(mle), cfg.first_offset_floor)
+    step = max(FIRST_OFFSET_FRAC * abs(mle), FIRST_OFFSET_FLOOR)
     xs = [mle]
     fs = [nll_min]
     exits = 0
@@ -288,36 +268,38 @@ def profile_interval(
     config: ProfileConfig | None = None,
     param_index: int = 0,
     param_name: str = "x",
-    pnll_upper: Callable[[float], float] | None = None,
 ) -> ProfileCI:
     """Interval machinery over an arbitrary profile-NLL callable.
 
     This is the engine behind `profile_ci`; it is exposed so synthetic
     objectives (e.g. exact quadratics) can exercise the search directly.
-    ``pnll_upper`` optionally serves the upper side with its own evaluator
-    (used to keep warm starts local to each search direction).
+    A profile value below ``nll_min`` is reported as a diagnostic: the
+    optimum ``nll_min`` came from was not the global one.
     """
     cfg = config or ProfileConfig()
     if cutoff is not None:
-        cfg = ProfileConfig(**{**cfg.__dict__, "cutoff": cutoff})
+        cfg = replace(cfg, cutoff=cutoff)
     points: list[tuple[float, float]] = []
 
-    def record(fn):
-        def wrapped(v):
-            f = float(fn(v))
-            points.append((float(v), f))
-            return f
-        return wrapped
+    def recorded(v):
+        f = float(pnll(v))
+        points.append((float(v), f))
+        return f
 
     diagnostics: list[str] = []
     lo, lo_open, lo_at_bound = _search_side(
-        record(pnll), -1, mle_value, nll_min, lower_bound, cfg, diagnostics
+        recorded, -1, mle_value, nll_min, lower_bound, cfg, diagnostics
     )
     hi, hi_open, hi_at_bound = _search_side(
-        record(pnll_upper if pnll_upper is not None else pnll),
-        +1, mle_value, nll_min, upper_bound, cfg, diagnostics,
+        recorded, +1, mle_value, nll_min, upper_bound, cfg, diagnostics
     )
     points.sort()
+    observed = [f for _, f in points if math.isfinite(f)]
+    if observed and min(observed) < nll_min - 1e-6:
+        diagnostics.append(
+            "profile found a lower NLL than the fit; the fit may not be the "
+            "global optimum"
+        )
     return ProfileCI(
         param_index=param_index,
         param_name=param_name,
@@ -341,38 +323,23 @@ def profile_ci(
     config: ProfileConfig | None = None,
 ) -> ProfileCI:
     """Profile-likelihood interval for one parameter of a fitted rule."""
-    cfg = config or ProfileConfig()
-    if cutoff is not None:
-        cfg = ProfileConfig(**{**cfg.__dict__, "cutoff": cutoff})
     rule = fit.rule
     k = rule.n_params
     if k == 0:
         raise ValueError("the asocial rule has no parameters to profile")
     if not 0 <= param_index < k:
         raise ValueError(f"param_index {param_index} out of range for k={k}")
-
-    lower_side = _ProfileSide(fit.table, rule, param_index, fit, cfg)
-    upper_side = _ProfileSide(fit.table, rule, param_index, fit, cfg)
-    mle_value = float(fit.mle[param_index])
+    cfg = config or ProfileConfig()
     lower, upper = fit.box
-    ci = profile_interval(
-        lower_side,
+    mle_value = float(fit.mle[param_index])
+    return profile_interval(
+        _Profile(fit.table, rule, param_index, lower, upper, fit.mle, mle_value, cfg),
         mle_value,
         fit.nll,
         lower_bound=lower[param_index],
         upper_bound=upper[param_index],
+        cutoff=cutoff,
         config=cfg,
         param_index=param_index,
         param_name=rule.param_names[param_index],
-        pnll_upper=upper_side,
     )
-    extra = list(ci.diagnostics)
-    observed = [f for _, f in ci.profile_points if math.isfinite(f)]
-    if observed and min(observed) < fit.nll - 1e-6:
-        extra.append(
-            "profile found a lower NLL than the fit; the fit may not be the "
-            "global optimum"
-        )
-    if extra != list(ci.diagnostics):
-        ci = ProfileCI(**{**ci.__dict__, "diagnostics": tuple(extra)})
-    return ci

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contagionfit import Network, write_network_csv
-from contagionfit.cli import main
+from contagionfit.cli import _rule_from_spec, main
 
 LN_120 = math.log(120.0)
 
@@ -238,7 +238,42 @@ def test_compare_duplicate_rules_exit_1(toy_files, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_compare_fix_applies_to_owning_rule(capsys):
+    files = ["--network", str(DEMO_DATA / "demo_network.csv"),
+             "--order", str(DEMO_DATA / "demo_order.txt")]
+    code = main(["compare", *files, "--rules", "simple,threshold", "--fix", "b=5"])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert code == 0
+    threshold_nll = float(next(r.split(",")[2] for r in rows if r.startswith("threshold,")))
+    # on this demo the sharpness moves the fit: b = 5 and the default b = 3 differ
+    nll = {}
+    for b in ("5", "3"):
+        main(["fit", *files, "--rule", "threshold", "--fix", f"b={b}", "--json"])
+        nll[b] = json.loads(capsys.readouterr().out)["nll"]
+    assert threshold_nll == nll["5"] != nll["3"]
+
+
+def test_compare_fix_without_owner_exits_1(toy_files, capsys):
+    net, order = toy_files
+    for option in (["--fix", "b=5"], ["--estimate-b"], ["--f-lower", "0.5"]):
+        code = main([
+            "compare", "--network", net, "--order", order,
+            "--rules", "simple,proportional", *option,
+        ])
+        assert code == 1
+        assert option[0] in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- experiment
+
+def test_spec_rule_names_are_case_insensitive():
+    threshold = _rule_from_spec({"name": "Threshold", "b": 5}, "rule")
+    assert threshold.kind == "threshold"
+    assert threshold.fixed == {"b": 5.0}
+    freqdep = _rule_from_spec({"name": "FreqDep", "f_lower": 0.5}, "rule")
+    assert freqdep.kind == "freqdep"
+    assert freqdep.lower[1] == 0.5
+
 
 def _selection_spec(tmp_path, reps=3):
     spec = {

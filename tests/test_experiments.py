@@ -149,6 +149,18 @@ def test_selection_failure_accounting(monkeypatch):
         assert math.isnan(row.proportion)
 
 
+def test_bug_exceptions_propagate(monkeypatch, quick_fit):
+    # a TypeError is a bug in the program, not an unlucky replicate
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(exp_mod, "fit_oada", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_selection_experiment(_mini_selection_config(reps=3))
+    with pytest.raises(TypeError, match="synthetic bug"):
+        calibrate_ci(quick_fit, 0, reps=20, seed=5)
+
+
 def test_selection_csv_output(tmp_path):
     result = run_selection_experiment(_mini_selection_config(reps=3))
     path = tmp_path / "selection.csv"

@@ -19,6 +19,7 @@ from contagionfit import (
     simple_rule,
     simulate_diffusion,
 )
+from contagionfit.profile_ci import FIRST_OFFSET_FLOOR, FIRST_OFFSET_FRAC
 
 QUAD_ENDPOINT_TOL = 1e-3
 ENDPOINT_TARGET_RTOL = 2e-4
@@ -107,6 +108,14 @@ def test_contains_semantics():
     assert not ci.contains(ci.lower - 1.0)
 
 
+def test_lower_nll_than_fit_is_reported():
+    # the claimed optimum 0.5 is not the profile's minimum, which sits at 1.0
+    pnll = quad_pnll(1.0, 2.0)
+    ci = profile_interval(pnll, 0.5, pnll(0.5))
+    assert any("lower NLL than the fit" in d for d in ci.diagnostics)
+    assert profile_interval(pnll, 1.0, 0.0).diagnostics == ()
+
+
 def test_mle_always_inside():
     for m, h in [(0.0, 5.0), (42.0, 0.01)]:
         ci = profile_interval(quad_pnll(m, h), m, 0.0)
@@ -158,6 +167,19 @@ def test_profile_ci_on_fitted_model(freqdep_fit):
     for endpoint in (ci_f.lower, ci_f.upper):
         pinned = profile_nll(fit.table, fit.rule, 1, endpoint, fit=fit)
         assert pinned == pytest.approx(fit.nll + DEFAULT_CUTOFF, abs=2e-3)
+
+
+def test_first_pin_on_each_side_matches_profile_nll(freqdep_fit):
+    # each side of the search starts from the MLE, as a lone profile_nll
+    # does: the upper side inherits no warm start from the lower side
+    fit = freqdep_fit
+    for idx in (0, 1):
+        ci = profile_ci(fit, idx)
+        mle = float(fit.mle[idx])
+        step = max(FIRST_OFFSET_FRAC * abs(mle), FIRST_OFFSET_FLOOR)
+        pinned = dict(ci.profile_points)
+        for value in (mle - step, mle + step):
+            assert pinned[value] == profile_nll(fit.table, fit.rule, idx, value, fit=fit)
 
 
 def test_profile_ci_matches_two_param_quadratic():
