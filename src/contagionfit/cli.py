@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=int(os.environ.get("CONTAGIONFIT_THREADS", "1")),
                        help="worker processes (results are independent of this)")
     p_exp.add_argument("--deterministic", action="store_true",
-                       help="omit the timestamp from the manifest")
+                       help="omit the timestamp and run time from the manifest")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -505,7 +505,11 @@ def run_manifest(
     include_timestamp: bool = True,
     extra: Mapping | None = None,
 ) -> dict:
-    """Reproducibility record written alongside experiment tables."""
+    """Reproducibility record written alongside experiment tables.
+
+    ``include_timestamp=False`` also leaves out ``runtime_s``, so that reruns
+    write identical bytes.
+    """
     import scipy
 
     manifest = {
@@ -530,7 +534,6 @@ def run_manifest(
             "rel_tol": config.profile.rel_tol,
         },
         "threads": threads,
-        "runtime_s": round(runtime_s, 3),
         "versions": {
             "contagionfit": _pkg_version,
             "numpy": np.__version__,
@@ -538,6 +541,7 @@ def run_manifest(
         },
     }
     if include_timestamp:
+        manifest["runtime_s"] = round(runtime_s, 3)
         manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     if extra:
         manifest.update(dict(extra))

@@ -176,6 +176,18 @@ def _parse_float(text: str, line_no: int, path: str) -> float:
         ) from None
 
 
+def _rescan_row(line: str, line_no: int, path: str) -> np.ndarray | None:
+    """Parse one line cell by cell, as CSV: None for a blank line, else its
+    values, or a NetworkFormatError naming the line and the offending cell."""
+    cells = [c.strip() for c in next(csv.reader([line]), [])]
+    if not any(cells):
+        return None
+    for c in cells:
+        if c == "":
+            raise NetworkFormatError(f"{path}, line {line_no}: empty cell in matrix row")
+    return np.array([_parse_float(c, line_no, path) for c in cells])
+
+
 def load_network_csv(path: str, header: bool = False, label: str = "") -> Network:
     """Read a square comma-separated weight matrix.
 
@@ -194,35 +206,30 @@ def load_network_csv(path: str, header: bool = False, label: str = "") -> Networ
         Naming the offending line for ragged rows, non-numeric cells, or a
         non-square result.
     """
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
+        for line_no, line in enumerate(fh, start=1):
             if header and line_no == 1:
                 continue
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            values = []
-            for c in cells:
-                if c == "":
-                    raise NetworkFormatError(
-                        f"{path}, line {line_no}: empty cell in matrix row"
-                    )
-                values.append(_parse_float(c, line_no, path))
-            if rows and len(values) != len(rows[0]):
+            try:
+                values = np.array(line.split(","), dtype=float)
+            except ValueError:  # blank, empty cell, quoted or non-numeric
+                values = _rescan_row(line, line_no, path)
+                if values is None:
+                    continue
+            if rows and values.size != rows[0].size:
                 raise NetworkFormatError(
-                    f"{path}, line {line_no}: row has {len(values)} entries, "
-                    f"expected {len(rows[0])}"
+                    f"{path}, line {line_no}: row has {values.size} entries, "
+                    f"expected {rows[0].size}"
                 )
             rows.append(values)
     if not rows:
         raise NetworkFormatError(f"{path}: no data rows")
-    if len(rows) != len(rows[0]):
+    if len(rows) != rows[0].size:
         raise NetworkFormatError(
-            f"{path}: matrix is {len(rows)}x{len(rows[0])}, expected square"
+            f"{path}: matrix is {len(rows)}x{rows[0].size}, expected square"
         )
-    return Network(np.array(rows, dtype=float), label=label or path)
+    return Network(np.vstack(rows), label=label or path)
 
 
 def write_network_csv(network: Network, path: str) -> None:

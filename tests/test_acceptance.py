@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from contagionfit import (
     CalibrationError,
@@ -36,6 +37,8 @@ from contagionfit import (
     simulate_diffusion,
     threshold_rule,
 )
+
+pytestmark = pytest.mark.acceptance
 
 AICC_TOL = 1e-3
 REDUCTION_TOL = 1e-10

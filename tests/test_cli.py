@@ -329,6 +329,21 @@ def test_experiment_reps_override(tmp_path):
     assert manifest["reps"] == 2
 
 
+def test_experiment_deterministic_manifest_is_byte_identical(tmp_path):
+    spec = DEMO_DATA.parent / "coverage_freqdep.json"
+    manifests = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        code = main([
+            "experiment", "--spec", str(spec), "--out-dir", str(out_dir),
+            "--reps", "2", "--deterministic",
+        ])
+        assert code == 0
+        manifests.append((out_dir / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert b"runtime_s" not in manifests[0]
+
+
 def test_experiment_coverage_run(tmp_path):
     spec = {
         "kind": "coverage",

@@ -310,3 +310,4 @@ def test_run_manifest_timestamp_optional():
     cfg = _mini_selection_config()
     manifest = run_manifest(cfg, "coverage", 0.5, include_timestamp=False)
     assert "timestamp" not in manifest
+    assert "runtime_s" not in manifest

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from contagionfit import (
     GeneratorConfig,
@@ -166,6 +169,16 @@ def test_csv_round_trip(tmp_path, toy_network):
     assert np.array_equal(back.weights, toy_network.weights)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(0.0, 1e300))
+))
+def test_csv_round_trip_is_exact(tmp_path_factory, weights):
+    path = tmp_path_factory.mktemp("net") / "net.csv"
+    write_network_csv(Network(weights), str(path))
+    assert np.array_equal(load_network_csv(str(path)).weights, weights)
+
+
 def test_csv_header_flag(tmp_path):
     path = tmp_path / "net.csv"
     path.write_text("a,b\n0,1\n2,0\n")
@@ -173,6 +186,12 @@ def test_csv_header_flag(tmp_path):
     assert net.weights[1, 0] == 2.0
     with pytest.raises(NetworkFormatError):
         load_network_csv(str(path), header=False)
+
+
+def test_csv_quoted_cells(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_text('"0","1.5"\n2, 0\n\n')
+    assert np.array_equal(load_network_csv(str(path)).weights, [[0.0, 1.5], [2.0, 0.0]])
 
 
 def test_csv_ragged_row_names_line(tmp_path):
