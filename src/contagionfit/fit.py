@@ -1,11 +1,18 @@
 """Maximum-likelihood fitting of transmission rules to acquisition orders.
 
-The optimizer is derivative-free (Nelder-Mead) and runs on a smooth
-reparameterization of the box-constrained parameter space: one-sided bounds
-map through log, two-sided bounds through a scaled logit, unbounded
-coordinates pass through.  A fit is the user-supplied (or default) start
-plus ``restarts`` jittered restarts; the best end point wins, with ties
-broken toward the earlier start so results are reproducible.
+`minimize_multistart` is the package's one box minimizer; every fit and
+every profile pin goes through it.  It works on a smooth reparameterization
+of the box: one-sided bounds map through log, two-sided bounds through a
+scaled logit, unbounded coordinates pass through.  The number of free
+coordinates picks the method:
+
+- none (the asocial rule, or a pin of a one-parameter rule): one evaluation;
+- one (simple, proportional, the nuisance of a two-parameter profile): a
+  fixed scan of 11 points over +-10 internal units around the start, stepped
+  outward while the best point is at the edge, then a bounded Brent polish;
+- two or more: derivative-free Nelder-Mead from the start plus ``restarts``
+  jittered restarts; the best end point wins, with ties broken toward the
+  earlier start so results are reproducible.
 
 Standard errors come from a central finite-difference Hessian of the NLL at
 the MLE and are reported only when that Hessian is positive definite and no
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
 from .oada import DiffusionData, EventTable, _nll_from_sums, _nll_generic, aicc, build_event_table
@@ -43,17 +50,26 @@ __all__ = [
 CEILING_NOTE_AT = 1e8
 # relative closeness to a finite bound that counts as "at the bound"
 BOUND_TOL = 1e-7
+# one-coordinate search (`_scan_and_polish`), in the internal coordinate
+SCAN_HALF_WIDTH = 10.0
+SCAN_POINTS = 11
+SCAN_MAX_STEPS = 30  # outward steps of the grid spacing past the grid's edge
+POLISH_XATOL = 1e-5
+_SCAN_OFFSETS = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings.
 
-    ``start``/``lower``/``upper`` default to the rule's own values.  The
-    jitter applied to restarts is multiplicative U[0.25, 4] on the distance
-    from one-sided bounds (additive in the transformed space) and is drawn
-    from a generator seeded by ``seed``, so a fit is a pure function of
-    (data, rule, config).
+    ``start``/``lower``/``upper`` default to the rule's own values; for a
+    one-parameter rule ``start`` is the centre of the scan.  ``restarts``,
+    ``tolerance``, ``max_evals`` and ``seed`` set the Nelder-Mead multistart
+    and so act only on rules with two or more parameters.  The jitter
+    applied to restarts is multiplicative U[0.25, 4] on the distance from
+    one-sided bounds (additive in the transformed space) and is drawn from a
+    generator seeded by ``seed``, so a fit is a pure function of (data,
+    rule, config).
     """
 
     start: tuple[float, ...] | None = None
@@ -224,13 +240,21 @@ def minimize_multistart(
     restarts: int = 8,
     tolerance: float = 1e-8,
     max_evals: int = 20000,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | Sequence[int] | np.random.SeedSequence = 0,
+    centre=None,
 ) -> MultistartResult:
-    """Nelder-Mead from ``start`` plus jittered restarts, on transformed space.
+    """Minimize ``objective`` over the box [``lower``, ``upper``] from ``start``.
 
-    The accepted answer of each start never has a higher objective than the
-    start point itself (the start is kept when a run goes astray), and the
-    overall winner is the lowest final value, earliest start on exact ties.
+    The dimension picks the method.  With no coordinates the objective is
+    evaluated once.  With one, `_scan_and_polish` scans a grid around
+    ``centre`` (default ``start``) plus ``start`` itself and polishes the
+    best point; ``restarts``, ``tolerance``, ``max_evals`` and ``seed`` are
+    not used.  With two or more, Nelder-Mead runs from ``start`` plus
+    ``restarts`` jittered restarts, all on the transformed space.
+
+    The answer never has a higher objective than the start point itself (the
+    start is kept when a run goes astray), and the overall winner is the
+    lowest final value, earliest start on exact ties.
     """
     transform = BoxTransform(lower, upper)
     obj = _safe(objective)
@@ -240,6 +264,10 @@ def minimize_multistart(
     if k == 0:
         v = obj(np.zeros(0))
         return MultistartResult(np.zeros(0), v, True, 1, (v,))
+    if k == 1:
+        zc = z0 if centre is None else transform.to_internal(
+            transform.nudge_inside(np.asarray(centre, dtype=float)))
+        return _scan_and_polish(obj, transform, float(z0[0]), float(zc[0]))
 
     rng = np.random.default_rng(seed)
     z_starts = [z0]
@@ -277,6 +305,54 @@ def minimize_multistart(
         if cand_f < best_f:
             best_x, best_f, best_ok = cand_x, cand_f, cand_ok
     return MultistartResult(best_x, best_f, best_ok, total_evals, tuple(start_vals))
+
+
+def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: float):
+    """One-coordinate minimization in the internal coordinate: scan, then polish.
+
+    Scans `SCAN_POINTS` points over +-`SCAN_HALF_WIDTH` around ``z_centre``
+    plus ``z_start``, steps outward by the grid spacing while the strictly
+    best point sits at the edge of the scanned points (at most
+    `SCAN_MAX_STEPS` times), so an objective that falls towards a limit (a
+    bound, or a parameter running off to infinity) is followed rather than
+    stopped in a shallow local minimum.  Bounded Brent then polishes between
+    the best point's two neighbours; the result is never worse than the best
+    scanned point, hence never worse than the start.
+    """
+
+    def at(z):
+        return obj(transform.to_external([z]))
+
+    grid = z_centre + _SCAN_OFFSETS
+    zs = sorted({*map(float, grid), z_start})
+    fs = [at(z) for z in zs]
+    f_start = fs[zs.index(z_start)]
+    spacing = grid[1] - grid[0]
+    for _ in range(SCAN_MAX_STEPS):
+        if fs[0] < min(fs[1:]):
+            zs.insert(0, zs[0] - spacing)
+            fs.insert(0, at(zs[0]))
+        elif fs[-1] < min(fs[:-1]):
+            zs.append(zs[-1] + spacing)
+            fs.append(at(zs[-1]))
+        else:
+            break
+    n_evals = len(zs)
+    best = int(np.argmin(fs))
+    z_best, f_best = zs[best], fs[best]
+    if math.isfinite(f_best):
+        res = minimize_scalar(
+            at,
+            bounds=(zs[max(best - 1, 0)], zs[min(best + 1, len(zs) - 1)]),
+            method="bounded",
+            options={"xatol": POLISH_XATOL},
+        )
+        n_evals += res.nfev
+        if res.fun < f_best:
+            z_best, f_best = float(res.x), float(res.fun)
+    return MultistartResult(
+        transform.to_external([z_best]), f_best, math.isfinite(f_best), n_evals, (f_start,)
+    )
 
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
@@ -381,29 +457,13 @@ def fit_oada(
     """Maximum-likelihood fit of ``rule`` to an observed acquisition order.
 
     Accepts a `DiffusionData` or a prebuilt `EventTable`.  Deterministic for
-    fixed inputs and config.  A rule with no free parameters (asocial) is
-    evaluated in closed form.
+    fixed inputs and config.  ``n_evals`` counts every NLL evaluation: the
+    one of a rule with no free parameters, scan plus polish for one
+    parameter, all starts for more.
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)
     cfg = config or FitConfig()
     d = table.n_events
-
-    if rule.n_params == 0:
-        # no optimization needed; for the asocial rule this is sum(log naive sizes)
-        nll = _safe(nll_objective(rule, table))(np.zeros(0))
-        return FitResult(
-            rule=rule,
-            table=table,
-            mle=np.zeros(0),
-            nll=nll,
-            se=np.zeros(0),
-            aicc=aicc(nll, 0, d),
-            converged=True,
-            n_evals=1,
-            boundary_flags=(),
-            notes=(),
-            config=cfg,
-        )
 
     start, lower, upper = _resolve_box(rule, cfg)
     objective = nll_objective(rule, table)

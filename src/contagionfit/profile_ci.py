@@ -16,17 +16,14 @@ changes (a non-monotone profile), the outermost crossing wins and a
 diagnostic records it.
 
 Inner fit: each pinned value re-minimizes the NLL over the other
-parameters.  For a two-parameter rule the nuisance is one-dimensional and
-is found by a scan and a polish in `BoxTransform`'s internal coordinate
-(log distance from a one-sided bound).  The scan evaluates 11 points over
-+-10 around the fit MLE's nuisance plus the warm start of this side of the
-MLE, and keeps stepping outward while the best point sits at its edge, so a
-profile that falls towards a limit (f -> infinity, a step rule) is
-followed rather than stopped in a shallow local minimum.  Bounded Brent then
-polishes between the best point's two neighbours; the result is never worse
-than the best scanned point.  Rules with three or more parameters use
-Nelder-Mead multistart (`ProfileConfig.inner_restarts`,
-`inner_max_evals`).
+parameters with one `fit.minimize_multistart` call, so the number of free
+parameters picks the method.  A one-parameter rule's profile is its NLL at
+the pin.  A two-parameter rule scans its one nuisance, centred on the fit
+MLE's value, from the warm start of this side of the MLE, and polishes with
+bounded Brent; the outward steps of the scan follow a profile that falls
+towards a limit (f -> infinity, a step rule).  Rules with three or more
+parameters run Nelder-Mead multistart (`ProfileConfig.inner_restarts`,
+`inner_max_evals` and `seed` act only on them).
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .fit import BoxTransform, FitResult, _safe, minimize_multistart, nll_objective
+from .fit import FitResult, minimize_multistart, nll_objective
 from .oada import DiffusionData, EventTable, build_event_table
 from .rules import TransmissionRule
 
@@ -56,11 +52,6 @@ FIRST_OFFSET_FRAC = 0.1
 FIRST_OFFSET_FLOOR = 1e-3
 CEILING_SCALE = 1e6
 INNER_TOLERANCE = 1e-8
-# 1-D nuisance search of two-parameter rules, in the internal coordinate
-SCAN_HALF_WIDTH = 10.0
-SCAN_POINTS = 11
-SCAN_MAX_STEPS = 30  # outward steps of the grid spacing past the grid's edge
-POLISH_XATOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -146,97 +137,44 @@ class _Profile:
     """Profile NLL of one parameter: the module's only inner fit.
 
     Pins parameter ``index`` and minimizes the NLL over the others in the box
-    [``lower``, ``upper``], from the free part of ``start``.  Pins on each side
-    of ``centre`` keep their own warm start, so one instance serves both
-    directions of an interval search and neither inherits the other's optimum.
-    A two-parameter rule scans its nuisance around the one in ``start``
-    (`_minimize_nuisance`); larger rules run `minimize_multistart`.
+    [``lower``, ``upper``] with one `minimize_multistart` call per pin, from
+    the free part of ``start``, which also centres a one-nuisance scan.  Pins
+    on each side of ``centre`` keep their own warm start, so one instance
+    serves both directions of an interval search and neither inherits the
+    other's optimum.
     """
 
     def __init__(self, table, rule, index, lower, upper, start, centre, cfg):
         self.objective = nll_objective(rule, table)
-        self.k = rule.n_params
         self.index = index
         self.centre = centre
         self.cfg = cfg
-        if self.k > 1:
-            free_start = np.delete(np.asarray(start, dtype=float), index)
-            self.starts = {False: free_start, True: free_start}
-            self.lower = np.delete(lower, index)
-            self.upper = np.delete(upper, index)
-        if self.k == 2:
-            self.transform = BoxTransform(self.lower, self.upper)
-            z0 = self.transform.to_internal(self.transform.nudge_inside(free_start))[0]
-            self.grid = z0 + np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
+        self.free_start = np.delete(np.asarray(start, dtype=float), index)
+        self.starts = {False: self.free_start, True: self.free_start}
+        self.lower = np.delete(lower, index)
+        self.upper = np.delete(upper, index)
 
     def __call__(self, value: float) -> float:
-        if self.k == 1:
-            v = self.objective(np.array([value]))
-            return v if math.isfinite(v) else math.inf
         side = value > self.centre
         i = self.index
 
         def pinned(free):
             return self.objective(np.concatenate((free[:i], [value], free[i:])))
 
-        if self.k == 2:
-            x, fun = _minimize_nuisance(pinned, self.transform, self.grid, self.starts[side])
-        else:
-            ms = minimize_multistart(
-                pinned,
-                self.starts[side],
-                self.lower,
-                self.upper,
-                restarts=self.cfg.inner_restarts,
-                tolerance=INNER_TOLERANCE,
-                max_evals=self.cfg.inner_max_evals,
-                seed=np.random.SeedSequence([self.cfg.seed, i]),
-            )
-            x, fun = ms.x, ms.fun
-        if math.isfinite(fun):
-            self.starts[side] = x
-        return fun
-
-
-def _minimize_nuisance(objective, transform, grid, warm):
-    """Minimize ``objective`` over one free parameter: scan, then polish.
-
-    Scans the internal-coordinate ``grid`` plus the warm start ``warm``,
-    steps outward by the grid spacing while the strictly best point sits at
-    the edge of the scanned points (at most `SCAN_MAX_STEPS` times), then
-    runs bounded Brent between the best point's two neighbours.  Returns
-    (x, objective at x), x an external-coordinate array of length 1.
-    """
-    obj = _safe(objective)
-
-    def at(z):
-        return obj(transform.to_external([z]))
-
-    z_warm = transform.to_internal(transform.nudge_inside(warm))[0]
-    zs = sorted({*map(float, grid), float(z_warm)})
-    fs = [at(z) for z in zs]
-    spacing = grid[1] - grid[0]
-    for _ in range(SCAN_MAX_STEPS):
-        if fs[0] < min(fs[1:]):
-            zs.insert(0, zs[0] - spacing)
-            fs.insert(0, at(zs[0]))
-        elif fs[-1] < min(fs[:-1]):
-            zs.append(zs[-1] + spacing)
-            fs.append(at(zs[-1]))
-        else:
-            break
-    best = int(np.argmin(fs))
-    z_best, f_best = zs[best], fs[best]
-    if math.isfinite(f_best):
-        res = minimize_scalar(
-            at,
-            bounds=(zs[max(best - 1, 0)], zs[min(best + 1, len(zs) - 1)]),
-            method="bounded",
-            options={"xatol": POLISH_XATOL},
+        ms = minimize_multistart(
+            pinned,
+            self.starts[side],
+            self.lower,
+            self.upper,
+            restarts=self.cfg.inner_restarts,
+            tolerance=INNER_TOLERANCE,
+            max_evals=self.cfg.inner_max_evals,
+            seed=(self.cfg.seed, i),
+            centre=self.free_start,
         )
-        if res.fun < f_best:
-            z_best, f_best = float(res.x), float(res.fun)
-    return transform.to_external([z_best]), f_best
+        if math.isfinite(ms.fun):
+            self.starts[side] = ms.x
+        return ms.fun
 
 
 def profile_nll(

@@ -122,17 +122,6 @@ class TransmissionRule:
                 )
         return p
 
-    def rate(self, params, connections, status) -> float:
-        """Social rate for one naive individual (no bounds checking)."""
-        a = np.asarray(connections, dtype=float)
-        z = np.asarray(status, dtype=float)
-        if self.sums_rate is not None:
-            w = float(a @ z)
-            tot = float(a.sum())
-            r = self.sums_rate(np.asarray(params, float), w, tot)
-            return float(np.asarray(r).ravel()[0])
-        return float(self.full_rate(np.asarray(params, float), a, z))
-
 
 # --- built-in rate kernels (module-level so rules pickle cleanly) ---
 
@@ -340,7 +329,10 @@ def eval_rate(rule: TransmissionRule, params, connections, status) -> float:
         )
     if not np.isin(z, (0.0, 1.0)).all():
         raise ValueError("status entries must be 0 or 1")
-    r = rule.rate(p, a, z)
+    if rule.sums_rate is not None:
+        r = float(np.asarray(rule.sums_rate(p, float(a @ z), float(a.sum()))).ravel()[0])
+    else:
+        r = float(rule.full_rate(p, a, z))
     if not np.isfinite(r) or r < 0:
         raise ValueError(f"rule {rule.kind!r} produced invalid rate {r}")
     return r

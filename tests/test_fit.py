@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagionfit import (
     DiffusionData,
@@ -165,6 +167,48 @@ def test_mle_beats_true_params():
     fit = fit_oada(table, frequency_dependent_rule())
     assert fit.converged
     assert fit.nll <= negative_log_likelihood(frequency_dependent_rule(), true, table) + 1e-9
+
+
+def test_one_parameter_fit_follows_profile_past_a_rise():
+    # the NLL has a local minimum at s ~ 1.79, rises to ~363.955 at s = 30
+    # and falls again to ~363.66128 as s -> infinity
+    net = generate_network(GeneratorConfig(
+        n=100, sparsity_threshold=0.7, multiplier_max=3.0, seed=21))
+    data, _ = simulate_diffusion(net, simple_rule(), [1.0], seed=521)
+    fit = fit_oada(build_event_table(data), proportional_rule())
+    assert fit.nll <= 363.662
+
+
+def dense_grid_nll(rule, table):
+    """Minimum NLL of a one-parameter rule over s = 0 and 401 log-spaced
+    values of s from 1e-8 to 1e12, and the NLL at s = 0."""
+    obj = nll_objective(rule, table)
+    at_zero = obj(np.array([0.0]))
+    grid = min(obj(np.array([s])) for s in np.logspace(-8, 12, 401))
+    return min(grid, at_zero), at_zero
+
+
+@st.composite
+def one_parameter_fits(draw):
+    """A simple or proportional fit to a simple or proportional diffusion
+    with s in [0, 5] on a coverage-cell-like network of n = 60 to 100."""
+    n = draw(st.integers(60, 100))
+    net = generate_network(GeneratorConfig(
+        n=n, sparsity_threshold=0.7, multiplier_max=3.0, seed=draw(st.integers(0, 2**32 - 1))))
+    sim_rule = draw(st.sampled_from([simple_rule(), proportional_rule()]))
+    data, _ = simulate_diffusion(net, sim_rule, [draw(st.floats(0.0, 5.0))],
+                                 seed=draw(st.integers(0, 2**32 - 1)))
+    fit_rule = draw(st.sampled_from([simple_rule(), proportional_rule()]))
+    return fit_oada(build_event_table(data), fit_rule)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(one_parameter_fits())
+def test_one_parameter_fit_reaches_dense_grid_minimum(fit):
+    grid_min, at_zero = dense_grid_nll(fit.rule, fit.table)
+    assert fit.nll <= grid_min + 1e-9
+    if at_zero == grid_min:  # the s = 0 bound is the MLE
+        assert fit.boundary_flags == (True,)
 
 
 # ---------------------------------------------------------- standard errors

@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import contagionfit
 from contagionfit import (
     DEFAULT_CUTOFF,
     DiffusionData,
@@ -329,8 +332,8 @@ def freqdep_fits(draw):
     to 100.  On much smaller networks (n <= 40) the profile over the
     nuisance can have dips narrower than the scan spacing, or the MLE runs
     away onto a plateau; there neither the scan nor Nelder-Mead multistart
-    finds the global minimum every time (see the FOUND entry on
-    `_minimize_nuisance` in CHANGES.md)."""
+    finds the global minimum every time (see the FOUND entry on the
+    one-coordinate scan, `fit._scan_and_polish`, in CHANGES.md)."""
     n = draw(st.integers(60, 100))
     net = generate_network(GeneratorConfig(
         n=n, sparsity_threshold=0.7, multiplier_max=3.0, seed=draw(st.integers(0, 2**32 - 1))))
@@ -348,3 +351,24 @@ def test_nuisance_search_reaches_dense_grid_minimum(fit, index, log_ratio):
     value = lo + (fit.mle[index] - lo) * math.exp(log_ratio)
     got = profile_nll(fit.table, fit.rule, index, value, fit=fit)
     assert got <= dense_profile(fit.table, fit.rule, index, value) + INNER_SEARCH_TOL
+
+
+# ------------------------------------------ the benchmark's traced run
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_traced_profile_counts_one_inner_fit_per_point(freqdep_fit, monkeypatch):
+    # bench/tracing.py wraps the names the traced run relies on, among them
+    # profile_ci.minimize_multistart, and raises if one is missing; every
+    # profile point must be one call of that minimizer
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        ci = contagionfit.profile_ci(freqdep_fit, 1)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["profile_ci.points"] == len(ci.profile_points) > 0
+    assert tracer.counts["profile_ci.inner_fits"] == tracer.counts["profile_ci.points"]
