@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .experiments import (
     FIT_ERRORS,
@@ -35,7 +34,7 @@ from .experiments import (
     write_selection_csv,
 )
 from .fit import FitConfig, compare_models, fit_oada
-from .network import GeneratorConfig, Network, generate_network, load_network_csv, write_network_csv
+from .network import GeneratorConfig, generate_network, load_network_csv, write_network_csv
 from .oada import (
     DiffusionData,
     build_event_table,
@@ -71,17 +70,17 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
-def _parse_fixes(pairs) -> dict[str, float]:
-    fixes: dict[str, float] = {}
+def _parse_pairs(pairs, flag: str) -> dict[str, float]:
+    values: dict[str, float] = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise ValueError(f"--fix expects name=value, got {pair!r}")
+            raise ValueError(f"{flag} expects name=value, got {pair!r}")
         name, _, value = pair.partition("=")
         try:
-            fixes[name.strip()] = float(value)
+            values[name.strip()] = float(value)
         except ValueError:
-            raise ValueError(f"--fix {pair!r}: value is not a number") from None
-    return fixes
+            raise ValueError(f"{flag} {pair!r}: value is not a number") from None
+    return values
 
 
 def _build_rule(name: str, b: float | None, estimate_b: bool, f_lower: float | None):
@@ -103,7 +102,7 @@ def _rules_from_args(names, args) -> list:
     """The named rules with the command line's rule options (``--fix``,
     ``--estimate-b``, ``--f-lower``) applied to the rules that own them; an
     option that none of them owns is an input error."""
-    fixes = _parse_fixes(args.fix)
+    fixes = _parse_pairs(args.fix, "--fix")
     b = fixes.pop("b", None)
     rules = [_build_rule(name, b, args.estimate_b, args.f_lower) for name in names]
     kinds = {rule.kind for rule in rules}
@@ -123,21 +122,16 @@ def _rules_from_args(names, args) -> list:
     return rules
 
 
-def _load_order(value: str) -> np.ndarray:
-    if os.path.exists(value):
-        return load_order_file(value)
-    return parse_order_text(value)
-
-
-def _load_data(args) -> DiffusionData:
-    network = load_network_csv(args.network, header=args.header)
-    order = _load_order(args.order)
-    return DiffusionData(network=network, order=order, label=args.network)
+def _load_data(network: str, order: str, header: bool) -> DiffusionData:
+    """The network CSV file ``network`` and the order ``order``, a file or inline text."""
+    net = load_network_csv(network, header=header)
+    seq = load_order_file(order) if os.path.exists(order) else parse_order_text(order)
+    return DiffusionData(network=net, order=seq, label=network)
 
 
 def _fit_config(args) -> FitConfig:
     return FitConfig(
-        start=_parse_floats(args.start, "--start") if args.start else None,
+        start=_parse_floats(args.start, "--start") if getattr(args, "start", None) else None,
         lower=_parse_floats(args.lower, "--lower") if getattr(args, "lower", None) else None,
         upper=_parse_floats(args.upper, "--upper") if getattr(args, "upper", None) else None,
         restarts=args.restarts,
@@ -147,12 +141,43 @@ def _fit_config(args) -> FitConfig:
     )
 
 
+def _settings(cls, doc, where: str, names):
+    """A ``cls`` settings object from the JSON object ``doc``, which may set
+    the dataclass fields ``names``.  A field takes the type of its default
+    (an integer field takes any integral number) and keeps the default when
+    absent; an unknown field or a wrong type is a ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name in names}
+    kwargs = {}
+    for name, value in doc.items():
+        if name not in defaults:
+            raise ValueError(f"{where}: unknown field {name!r}")
+        kind = type(defaults[name])
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (kind is int and isinstance(value, float) and not value.is_integer())):
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(f"{where}: field {name!r} must be {expected}, got {value!r}")
+        kwargs[name] = kind(value)
+    return cls(**kwargs)
+
+
+def _write_json(doc, path: str | None = None) -> None:
+    """Sorted, indented JSON plus a newline, to ``path`` or to stdout."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _format_value(v: float) -> str:
     return f"{v:.6g}"
 
 
 def cmd_fit(args) -> int:
-    data = _load_data(args)
+    data = _load_data(args.network, args.order, args.header)
     [rule] = _rules_from_args([args.rule], args)
     cfg = _fit_config(args)
     result = fit_oada(data, rule, cfg)
@@ -167,15 +192,12 @@ def cmd_fit(args) -> int:
     else:
         cis = []
 
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    if args.json or not args.out:
-        if args.json:
-            print(text)
-        else:
-            _print_fit_summary(result, cis)
+        _write_json(report, args.out)
+    if args.json:
+        _write_json(report)
+    elif not args.out:
+        _print_fit_summary(result, cis)
     if not result.converged:
         print("warning: optimizer did not meet tolerance", file=sys.stderr)
         return EXIT_NOCONV
@@ -202,35 +224,22 @@ def _print_fit_summary(result, cis) -> None:
         print(f"note: {note}")
 
 
+_GENERATOR_FIELDS = ("n", "sparsity_threshold", "multiplier_max", "seed")
+# short inline --generate keys for two of the fields
+_GENERATOR_ALIASES = {"threshold": "sparsity_threshold", "mult": "multiplier_max"}
+
+
 def _parse_generator(spec: str) -> GeneratorConfig:
     if os.path.exists(spec):
         with open(spec) as fh:
-            doc = json.load(fh)
-        return _generator_from_dict(doc, where=spec)
+            return _settings(GeneratorConfig, json.load(fh), spec, _GENERATOR_FIELDS)
     if "=" not in spec:
         raise ValueError(
             f"--generate expects key=value pairs or a JSON file path, got {spec!r}"
         )
-    alias = {"n": "n", "threshold": "sparsity_threshold", "mult": "multiplier_max",
-             "seed": "seed", "sparsity_threshold": "sparsity_threshold",
-             "multiplier_max": "multiplier_max"}
-    kwargs = {}
-    for pair in spec.split(","):
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in alias:
-            raise ValueError(f"--generate: unknown key {key!r}")
-        field = alias[key]
-        kwargs[field] = int(float(value)) if field in ("n", "seed") else float(value)
-    return GeneratorConfig(**kwargs)
-
-
-def _generator_from_dict(doc: dict, where: str = "generator") -> GeneratorConfig:
-    allowed = {"n", "sparsity_threshold", "multiplier_max", "seed"}
-    bad = set(doc) - allowed
-    if bad:
-        raise ValueError(f"{where}: unknown generator field {sorted(bad)[0]!r}")
-    return GeneratorConfig(**doc)
+    doc = _parse_pairs(spec.split(","), "--generate")
+    doc = {_GENERATOR_ALIASES.get(key, key): value for key, value in doc.items()}
+    return _settings(GeneratorConfig, doc, "--generate", _GENERATOR_FIELDS)
 
 
 def cmd_simulate(args) -> int:
@@ -242,11 +251,6 @@ def cmd_simulate(args) -> int:
         network = generate_network(_parse_generator(args.generate))
     [rule] = _rules_from_args([args.rule], args)
     params = _parse_floats(args.params, "--params") if args.params else ()
-    if len(params) != rule.n_params:
-        raise ValueError(
-            f"rule {rule.kind!r} takes {rule.n_params} parameter(s) "
-            f"{rule.param_names}; got {len(params)} via --params"
-        )
     initial = tuple(int(i) - 1 for i in _parse_floats(args.initial, "--initial")) if args.initial else ()
     data, trace = simulate_diffusion(
         network,
@@ -268,7 +272,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    data = _load_data(args)
+    data = _load_data(args.network, args.order, args.header)
     names = [tok.strip() for tok in args.rules.split(",") if tok.strip()]
     if not names:
         return _fail("--rules must name at least one rule")
@@ -277,8 +281,7 @@ def cmd_compare(args) -> int:
     if len(set(kinds)) != len(kinds):
         return _fail(f"duplicate rules requested: {','.join(kinds)}")
 
-    cfg = FitConfig(restarts=args.restarts, tolerance=args.tolerance,
-                    max_evals=args.max_evals, seed=args.seed)
+    cfg = _fit_config(args)
     table = build_event_table(data)
     fits = []
     failed: list[str] = []
@@ -339,8 +342,6 @@ def _require(spec: dict, field: str, kind, where: str = "spec"):
     if field not in spec:
         raise ValueError(f"{where}: missing required field {field!r}")
     value = spec[field]
-    if kind is float and isinstance(value, int):
-        value = float(value)
     if not isinstance(value, kind):
         raise ValueError(f"{where}: field {field!r} has the wrong type")
     return value
@@ -351,18 +352,14 @@ def _run_settings(spec: dict, args) -> tuple[int, int, FitConfig]:
     overrides applied."""
     reps = args.reps if args.reps is not None else _require(spec, "reps", int)
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    fit_doc = spec.get("fit", {})
-    fit_cfg = FitConfig(
-        restarts=int(fit_doc.get("restarts", 8)),
-        tolerance=float(fit_doc.get("tolerance", 1e-8)),
-        max_evals=int(fit_doc.get("max_evals", 20000)),
-        seed=seed,
-    )
-    return int(reps), seed, fit_cfg
+    fit_cfg = _settings(FitConfig, spec.get("fit", {}), "fit",
+                        ("restarts", "tolerance", "max_evals"))
+    return int(reps), seed, dataclasses.replace(fit_cfg, seed=seed)
 
 
 def _experiment_config(spec: dict, args) -> ExperimentConfig:
-    generator = _generator_from_dict(_require(spec, "generator", dict), "generator")
+    generator = _settings(GeneratorConfig, _require(spec, "generator", dict), "generator",
+                          _GENERATOR_FIELDS)
     true_rule = _rule_from_spec(_require(spec, "true_rule", dict), "true_rule")
     grid_axes = _require(spec, "grid", dict)
     grid = expand_grid(
@@ -373,12 +370,8 @@ def _experiment_config(spec: dict, args) -> ExperimentConfig:
         for d in spec.get("candidates", [])
     )
     reps, seed, fit_cfg = _run_settings(spec, args)
-    prof_doc = spec.get("profile", {})
-    prof_cfg = ProfileConfig(
-        cutoff=float(prof_doc.get("cutoff", 1.92)),
-        inner_restarts=int(prof_doc.get("inner_restarts", 2)),
-        inner_max_evals=int(prof_doc.get("inner_max_evals", 4000)),
-    )
+    prof_cfg = _settings(ProfileConfig, spec.get("profile", {}), "profile",
+                         ("cutoff", "inner_restarts", "inner_max_evals"))
     try:
         return ExperimentConfig(
             generator=generator,
@@ -425,19 +418,14 @@ def cmd_experiment(args) -> int:
         include_timestamp=not args.deterministic,
         extra=extra,
     )
-    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(args.out_dir, "manifest.json"))
     print(f"{kind} experiment: {len(result.rows)} rows -> {args.out_dir}")
     return EXIT_OK
 
 
 def _run_calibrate_spec(spec: dict, args) -> int:
-    network = load_network_csv(
-        _require(spec, "network", str), header=bool(spec.get("header", False))
-    )
-    order = _load_order(_require(spec, "order", str))
-    data = DiffusionData(network=network, order=order)
+    data = _load_data(_require(spec, "network", str), _require(spec, "order", str),
+                      bool(spec.get("header", False)))
     rule = _rule_from_spec(_require(spec, "rule", dict), "rule")
     param = _require(spec, "param", str)
     if param not in rule.param_names:
@@ -462,9 +450,7 @@ def _run_calibrate_spec(spec: dict, args) -> int:
         "calibration": result.report_dict(),
     }
     out_path = os.path.join(args.out_dir, "calibration.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, out_path)
     print(f"calibrate: adjusted cutoff {result.cutoff:.4f} -> {out_path}")
     return EXIT_OK
 
@@ -499,12 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contagionfit",
                      description="Fit, compare and simulate contagion spread on networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    data_opts = argparse.ArgumentParser(add_help=False)
+    data_opts.add_argument("--network", required=True, help="square CSV weight matrix")
+    data_opts.add_argument("--header", action="store_true",
+                           help="network CSV has a header row")
+    data_opts.add_argument("--order", required=True,
+                           help="acquisition order: file, or inline like 4,5,2,3,1 (1-based)")
 
-    p_fit = sub.add_parser("fit", parents=[], help="fit one rule to an observed order")
-    p_fit.add_argument("--network", required=True, help="square CSV weight matrix")
-    p_fit.add_argument("--header", action="store_true", help="network CSV has a header row")
-    p_fit.add_argument("--order", required=True,
-                       help="acquisition order: file, or inline like 4,5,2,3,1 (1-based)")
+    p_fit = sub.add_parser("fit", parents=[data_opts], help="fit one rule to an observed order")
     _add_rule_opts(p_fit)
     p_fit.add_argument("--start", help="comma-separated start values")
     p_fit.add_argument("--lower", help="comma-separated lower bounds")
@@ -535,10 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--label", default="")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="fit several rules, rank by AICc")
-    p_cmp.add_argument("--network", required=True)
-    p_cmp.add_argument("--header", action="store_true")
-    p_cmp.add_argument("--order", required=True)
+    p_cmp = sub.add_parser("compare", parents=[data_opts], help="fit several rules, rank by AICc")
     _add_rule_opts(p_cmp, many=True)
     _add_fit_opts(p_cmp)
     p_cmp.add_argument("--out", help="write the comparison CSV to a file")

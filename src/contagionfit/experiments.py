@@ -384,21 +384,18 @@ def calibrate_ci(
         raise ValueError("calibration needs at least 20 bootstrap replicates")
     prof_cfg = profile_config or ProfileConfig()
     base_fit_cfg = fit_config or fit.config or FitConfig()
-    network = fit.data.network
     gen_value = float(fit.mle[param_index])
-    d = fit.table.n_events
-    stop_after = d if d < network.n else None
 
     lr_stats: list[float] = []
     n_failed = 0
     for rep in range(reps):
         try:
             data, _ = simulate_diffusion(
-                network,
+                fit.data.network,
                 rule,
                 fit.mle,
                 seed=np.random.SeedSequence([seed, rep, 0]),
-                stop_after=stop_after,
+                stop_after=fit.table.n_events,
             )
             table = build_event_table(data)
             rep_cfg = replace(base_fit_cfg, seed=_derived_seed_int(seed, rep, 1))

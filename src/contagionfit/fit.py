@@ -357,13 +357,8 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
     """NLL as a plain params -> float callable (no bounds checks)."""
-    if rule.sums_rate is not None:
-        return lambda p: _nll_from_sums(rule, np.asarray(p, dtype=float), table)
-
-    def obj(p):
-        return _nll_generic(rule, np.asarray(p, dtype=float), table)
-
-    return obj
+    nll = _nll_from_sums if rule.sums_rate is not None else _nll_generic
+    return lambda p: nll(rule, np.asarray(p, dtype=float), table)
 
 
 def hessian_standard_errors(

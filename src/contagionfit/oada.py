@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network, require_valid
-from .rules import TransmissionRule
+from .rules import TransmissionRule, _check_rates
 
 __all__ = [
     "DiffusionData",
@@ -105,11 +105,13 @@ class EventTable:
     acquires or the individual itself acquires.  ``run_prev[r]`` is the run
     of the same individual that ``r`` replaces (-1 for the runs starting at
     event 0, which are runs ``0..n-1`` of individuals ``0..n-1``); runs are
-    numbered in order of ``run_start``.  Once every in-neighbour is
-    informed, ``run_w`` is exactly ``run_total``, so the weight to naive
-    individuals ``run_total - run_w`` is exactly 0, with no summation
-    residue.  ``acquirer_run[k]`` is the run of event k's acquirer and
-    ``n_naive[k]`` the size of the naive set just before event k.
+    numbered in order of ``run_start``.  The sums are recorded from the
+    naive-set state the simulator also steps (``_NaiveSums``): once every
+    in-neighbour is informed, ``run_w`` is exactly ``run_total``, so the
+    weight to naive individuals ``run_total - run_w`` is exactly 0, with no
+    summation residue.  ``acquirer_run[k]`` is the run of event k's
+    acquirer and ``n_naive[k]`` the size of the naive set just before
+    event k.
 
     Event k's denominator is ``n_naive[k] + S_k``, where ``S_k`` sums the
     rates of the runs present at k.  The likelihood forms every ``S_k`` as
@@ -195,19 +197,56 @@ class EventTable:
         return self._flat[4]
 
 
+class _NaiveSums:
+    """The naive mask, and each naive individual's ``w_informed`` and
+    ``totals``, stepped one acquisition at a time by the event table, the
+    generic likelihood and the simulator alike.  Naive in-neighbours are
+    counted, and ``w_informed`` snaps to ``totals`` when the count reaches
+    0, so saturation is exact."""
+
+    def __init__(self, network: Network, informed=()):
+        self.weights = network.weights
+        self.totals = self.weights.sum(axis=1)
+        self.w_informed = np.zeros(network.n)
+        self.naive = np.ones(network.n, dtype=bool)
+        self._linked = self.weights > 0
+        self._naive_links = self._linked.sum(axis=1)
+        for i in dict.fromkeys(informed):
+            self.step(i)
+
+    def step(self, acq: int) -> np.ndarray:
+        """Inform ``acq``; return the mask of the naive individuals whose
+        sums changed, those ``i`` with ``a_{i,acq} > 0``."""
+        self.naive[acq] = False
+        linked = self._linked[:, acq]
+        # every row is updated (informed rows are never read): fewer array
+        # calls than indexing the changed rows, and adding 0.0 is exact
+        self.w_informed += self.weights[:, acq]
+        self._naive_links -= linked
+        np.copyto(self.w_informed, self.totals, where=self._naive_links == 0)
+        return linked & self.naive
+
+
+def _naive_rates(rule: TransmissionRule, params, sums: _NaiveSums) -> tuple[np.ndarray, np.ndarray]:
+    """(naive individuals in ascending order, their validated social rates)."""
+    naive = sums.naive.nonzero()[0]
+    if rule.sums_rate is not None:
+        t = rule.sums_rate(params, sums.w_informed[naive], sums.totals[naive])
+    else:
+        z = (~sums.naive).astype(float)
+        t = [rule.full_rate(params, sums.weights[i], z) for i in naive]
+    return naive, _check_rates(rule, t)
+
+
 def build_event_table(data: DiffusionData) -> EventTable:
-    """Walk the events once and record each naive individual's runs."""
+    """Step the naive-set state through the events and record each naive
+    individual's runs."""
     require_valid(data.network)
-    w = data.network.weights
-    n = w.shape[0]
+    n = data.network.n
     order = data.order
     d = order.size
 
-    totals = w.sum(axis=1)
-    w_informed = np.zeros(n)          # running sum_j a_ij z_j for the naive
-    naive_mask = np.ones(n, dtype=bool)
-    # naive in-neighbours left, counted exactly so that saturation is exact
-    naive_links = np.count_nonzero(w > 0, axis=1)
+    sums = _NaiveSums(data.network)
     current = np.arange(n)            # open run of each individual
     # run chunks in order of their start; runs 0..n-1 open at event 0
     who, run_w = [np.arange(n)], [np.zeros(n)]
@@ -217,16 +256,11 @@ def build_event_table(data: DiffusionData) -> EventTable:
 
     for k, acq in enumerate(order):
         acq_run[k] = current[acq]
-        naive_mask[acq] = False
-        nbrs = np.flatnonzero((w[:, acq] > 0) & naive_mask)
-        w_informed[nbrs] += w[nbrs, acq]
-        naive_links[nbrs] -= 1
-        full = nbrs[naive_links[nbrs] == 0]
-        w_informed[full] = totals[full]
+        nbrs = sums.step(acq).nonzero()[0]
         if k + 1 == d or nbrs.size == 0:
             continue
         who.append(nbrs)
-        run_w.append(w_informed[nbrs])
+        run_w.append(sums.w_informed[nbrs])
         start.append(np.full(nbrs.size, k + 1, dtype=np.int64))
         prev.append(current[nbrs])
         current[nbrs] = np.arange(n_runs, n_runs + nbrs.size)
@@ -237,7 +271,7 @@ def build_event_table(data: DiffusionData) -> EventTable:
     end[acq_run] = np.arange(1, d + 1)
     end[prev[n:]] = start[n:]
     arrays = dict(
-        run_individual=who, run_w=run_w, run_total=totals[who], run_start=start,
+        run_individual=who, run_w=run_w, run_total=sums.totals[who], run_start=start,
         run_end=end, run_prev=prev, acquirer_run=acq_run, n_naive=n - np.arange(d),
     )
     for arr in arrays.values():
@@ -275,15 +309,13 @@ def _nll_from_sums(rule: TransmissionRule, params: np.ndarray, table: EventTable
 
 def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
     """General path for rules that need the full (connections, status) view."""
-    w = table.data.network.weights
-    n = w.shape[0]
-    z = np.zeros(n)
+    sums = _NaiveSums(table.data.network)
     nll = 0.0
     for acq in table.data.order:
-        naive = np.flatnonzero(z == 0.0)
-        r = np.array([rule.full_rate(params, w[i], z) for i in naive]) + 1.0
+        naive, t = _naive_rates(rule, params, sums)
+        r = t + 1.0
         nll += math.log(r.sum()) - math.log(r[np.searchsorted(naive, acq)])
-        z[acq] = 1.0
+        sums.step(acq)
     return nll
 
 
@@ -300,11 +332,7 @@ def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -
         if not np.isfinite(nll):
             raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
         return nll
-    t = _run_rates(rule, p, table)
-    if not np.isfinite(t).all() or (t < 0).any():
-        bad = t[~np.isfinite(t) | (t < 0)][0]
-        raise ValueError(f"rule {rule.kind!r} produced invalid rate {bad}")
-    return _nll_from_rates(t, table)
+    return _nll_from_rates(_check_rates(rule, _run_rates(rule, p, table)), table)
 
 
 def asocial_nll(table: EventTable) -> float:

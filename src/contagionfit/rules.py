@@ -330,12 +330,19 @@ def eval_rate(rule: TransmissionRule, params, connections, status) -> float:
     if not np.isin(z, (0.0, 1.0)).all():
         raise ValueError("status entries must be 0 or 1")
     if rule.sums_rate is not None:
-        r = float(np.asarray(rule.sums_rate(p, float(a @ z), float(a.sum()))).ravel()[0])
+        r = np.asarray(rule.sums_rate(p, float(a @ z), float(a.sum()))).ravel()[0]
     else:
-        r = float(rule.full_rate(p, a, z))
-    if not np.isfinite(r) or r < 0:
-        raise ValueError(f"rule {rule.kind!r} produced invalid rate {r}")
-    return r
+        r = rule.full_rate(p, a, z)
+    return float(_check_rates(rule, r))
+
+
+def _check_rates(rule: TransmissionRule, rates) -> np.ndarray:
+    """``rates`` as a float array; ValueError if any is non-finite or negative."""
+    t = np.asarray(rates, dtype=float)
+    if not (t.min() >= 0 and t.max() < np.inf):  # a NaN fails both
+        bad = t[~((t >= 0) & (t < np.inf))][0]
+        raise ValueError(f"rule {rule.kind!r} produced invalid rate {bad}")
+    return t
 
 
 # --- spec-level convenience wrappers with explicit signatures ---

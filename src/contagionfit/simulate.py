@@ -3,8 +3,9 @@
 The simulator draws acquisition events one at a time: at each step every
 naive individual ``i`` has relative rate ``R_i = T_i + 1`` and acquires next
 with probability ``R_i / sum_naive R_j``.  That is exactly the per-event
-probability the order-of-acquisition likelihood assigns, so simulated orders
-and fitted likelihoods agree by construction.
+probability the order-of-acquisition likelihood assigns, and the simulator
+steps the likelihood's own naive-set state and rate evaluator, so simulated
+orders and fitted likelihoods agree by construction.
 
 `simulate_diffusion` returns the dataset (network + order) together with a
 step-by-step trace holding the full selection-probability vector of every
@@ -20,7 +21,7 @@ import csv
 import numpy as np
 
 from .network import Network, require_valid
-from .oada import DiffusionData
+from .oada import DiffusionData, _NaiveSums, _naive_rates
 from .rules import TransmissionRule
 
 __all__ = ["SimulationTrace", "simulate_diffusion", "write_trace_csv"]
@@ -72,38 +73,21 @@ def simulate_diffusion(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     n = network.n
-    w = network.weights
-    informed0 = np.zeros(n, dtype=bool)
     for i in initially_informed:
         if not 0 <= int(i) < n:
             raise ValueError(f"initially_informed index {i} out of range")
-        informed0[int(i)] = True
-    n_naive = int(n - informed0.sum())
+    sums = _NaiveSums(network, [int(i) for i in initially_informed])
+    n_naive = int(sums.naive.sum())
     if n_naive == 0:
         raise ValueError("everyone is already informed; nothing to simulate")
     d = n_naive if stop_after is None else int(stop_after)
     if not 1 <= d <= n_naive:
         raise ValueError(f"stop_after must be in [1, {n_naive}]")
 
-    totals = w.sum(axis=1)
-    w_informed = w @ informed0.astype(float)
-    naive_mask = ~informed0
-    use_sums = rule.sums_rate is not None
-
     order = np.empty(d, dtype=np.int64)
     probs = np.full((d, n), np.nan)
     for k in range(d):
-        idx = np.flatnonzero(naive_mask)
-        if use_sums:
-            t = np.asarray(
-                rule.sums_rate(params, w_informed[idx], totals[idx]), dtype=float
-            )
-        else:
-            z = (~naive_mask).astype(float)
-            t = np.array([rule.full_rate(params, w[i], z) for i in idx], dtype=float)
-        if not np.isfinite(t).all() or (t < 0).any():
-            bad = t[~np.isfinite(t) | (t < 0)][0]
-            raise ValueError(f"rule {rule.kind!r} produced invalid rate {bad}")
+        idx, t = _naive_rates(rule, params, sums)
         r = t + 1.0
         cum = np.cumsum(r)
         u = rng.random() * cum[-1]
@@ -113,8 +97,7 @@ def simulate_diffusion(
 
         probs[k, idx] = r / cum[-1]
         order[k] = acq
-        naive_mask[acq] = False
-        w_informed += w[:, acq]
+        sums.step(acq)
 
     data = DiffusionData(network=network, order=order, label=label)
     trace = SimulationTrace(acquirers=order.copy(), probabilities=probs)

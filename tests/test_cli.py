@@ -377,6 +377,38 @@ def test_experiment_spec_error_names_field(tmp_path, capsys):
     assert "generator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("fit", {"restart": 0}, "'restart'"),
+    ("generator", {"n": "30"}, "'n'"),
+    ("generator", {"n": 30.5}, "'n'"),
+    ("profile", {"cutoff": True}, "'cutoff'"),
+])
+def test_experiment_spec_settings_are_typed(tmp_path, capsys, field, value, name):
+    spec = json.loads(_selection_spec(tmp_path).read_text())
+    spec[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code = main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and name in err
+
+
+def test_experiment_spec_integer_field_takes_integral_float(tmp_path):
+    spec = json.loads(_selection_spec(tmp_path).read_text())
+    spec["generator"] = {"n": 15.0}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "r")])
+    assert code == 0
+
+
+def test_simulate_generate_rejects_fractional_n(capsys):
+    code = main(["simulate", "--generate", "n=10.7", "--rule", "simple", "--params", "1"])
+    assert code == 1
+    assert "'n'" in capsys.readouterr().err
+
+
 def test_experiment_bad_kind(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "nonsense"}))

@@ -116,14 +116,14 @@ def diffusions(draw, max_n=8):
     return w, np.array(order[:d])
 
 
-def builtin_params():
-    """In-box parameters for every built-in rule, rates up to 1e6."""
-    rate = st.one_of(st.floats(0.0, 10.0), st.floats(10.0, 1e6))
+def builtin_params(rate=st.one_of(st.floats(0.0, 10.0), st.floats(10.0, 1e6)),
+                   f=st.floats(0.2, 20.0)):
+    """In-box parameters for every built-in rule, rates up to 1e6 by default."""
     return st.fixed_dictionaries({
         "asocial": st.just(()),
         "simple": st.tuples(rate),
         "proportional": st.tuples(rate),
-        "freqdep": st.tuples(rate, st.floats(0.2, 20.0)),
+        "freqdep": st.tuples(rate, f),
         "threshold": st.tuples(st.floats(0.0, 5.0), rate),
     })
 
@@ -193,3 +193,50 @@ def test_saturated_individuals_have_exactly_zero_naive_weight():
     got = negative_log_likelihood(rule, [10.0, 0.2], build_event_table(data))
     want = twin_nll("freqdep", (10.0, 0.2), net.weights, data.order)
     assert got == pytest.approx(want, rel=SATURATION_RTOL)
+
+
+def trace_nll(data, trace):
+    return -float(np.log(trace.probabilities[np.arange(data.n_events), data.order]).sum())
+
+
+def random_networks(max_n=16):
+    """Networks drawn from a seeded generator rather than by hypothesis, so
+    that row sums carry rounding residues."""
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, max_n + 1))
+        w = rng.uniform(0.05, 5.0, (n, n)) * (rng.random((n, n)) < rng.choice([0.2, 0.4, 0.7]))
+        np.fill_diagonal(w, 0.0)
+        return Network(w)
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+# 300 examples: small f, a large enough s and a saturated naive individual
+# meet in only a few percent of them
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_networks(),
+       builtin_params(rate=st.floats(0.0, 100.0),
+                      f=st.one_of(st.floats(0.2, 0.5), st.floats(0.5, 20.0))),
+       st.integers(0, 2**32 - 1))
+def test_simulated_trace_scores_like_the_likelihood(net, params, seed):
+    # the simulator's per-event probabilities are the likelihood's, saturated
+    # individuals included (their rates are where the two used to differ).
+    # Rates stay below 100: on simulated orders, where large rates leave the
+    # naive set first, the run-based sum's round-off (see `EventTable`)
+    # reaches 2e-10 relative at rates near 2e5.
+    for kind, p in params.items():
+        rule = rule_from_name(kind)
+        data, trace = simulate_diffusion(net, rule, list(p), seed=seed)
+        want = negative_log_likelihood(rule, list(p), build_event_table(data))
+        assert trace_nll(data, trace) == pytest.approx(want, rel=NLL_RTOL, abs=NLL_RTOL), kind
+
+
+def test_simulated_trace_of_saturated_replicate_scores_like_the_likelihood():
+    # coverage-cell replicate 38 at f = 0.2: 27 of its events used to differ
+    net = generate_network(GeneratorConfig(
+        n=100, sparsity_threshold=0.7, multiplier_max=3.0, seed=1038,
+    ))
+    rule = frequency_dependent_rule()
+    data, trace = simulate_diffusion(net, rule, [10.0, 0.2], seed=2038)
+    want = negative_log_likelihood(rule, [10.0, 0.2], build_event_table(data))
+    assert trace_nll(data, trace) == pytest.approx(want, rel=NLL_RTOL)

@@ -13,6 +13,7 @@ from contagionfit import (
     asocial_rule,
     build_event_table,
     custom_rule,
+    fit_oada,
     frequency_dependent_rule,
     generate_network,
     load_order_file,
@@ -183,6 +184,15 @@ def test_nll_rejects_invalid_params(toy_data):
         negative_log_likelihood(simple_rule(), [-1.0], table)
     with pytest.raises(ValueError):
         negative_log_likelihood(simple_rule(), [np.nan], table)
+
+
+def test_nll_rejects_negative_rate_of_generic_rule(toy_data):
+    table = build_event_table(toy_data)
+    rule = custom_rule("offset", ["s"], rate=lambda p, a, z: p[0] * (a @ z) - 0.5)
+    with pytest.raises(ValueError, match="invalid rate"):
+        negative_log_likelihood(rule, [1.0], table)
+    fit = fit_oada(table, rule)  # every evaluation is refused
+    assert fit.nll == math.inf and not fit.converged
 
 
 def test_aicc_values():
