@@ -224,7 +224,10 @@ def _print_fit_summary(result, cis) -> None:
         print(f"note: {note}")
 
 
-_GENERATOR_FIELDS = ("n", "sparsity_threshold", "multiplier_max", "seed")
+# an experiment spec's generator takes no seed: each replicate seeds its own
+# network from the spec's base seed
+_SPEC_GENERATOR_FIELDS = ("n", "sparsity_threshold", "multiplier_max")
+_GENERATOR_FIELDS = (*_SPEC_GENERATOR_FIELDS, "seed")
 # short inline --generate keys for two of the fields
 _GENERATOR_ALIASES = {"threshold": "sparsity_threshold", "mult": "multiplier_max"}
 
@@ -251,14 +254,17 @@ def cmd_simulate(args) -> int:
         network = generate_network(_parse_generator(args.generate))
     [rule] = _rules_from_args([args.rule], args)
     params = _parse_floats(args.params, "--params") if args.params else ()
-    initial = tuple(int(i) - 1 for i in _parse_floats(args.initial, "--initial")) if args.initial else ()
+    initial = _parse_floats(args.initial, "--initial") if args.initial else ()
+    for i in initial:
+        if not i.is_integer():
+            return _fail(f"--initial expects 1-based individual indices, got {i!r}")
     data, trace = simulate_diffusion(
         network,
         rule,
         params,
         seed=args.seed,
         stop_after=args.stop_after,
-        initially_informed=initial,
+        initially_informed=tuple(int(i) - 1 for i in initial),
         label=args.label,
     )
     if args.out:
@@ -359,7 +365,7 @@ def _run_settings(spec: dict, args) -> tuple[int, int, FitConfig]:
 
 def _experiment_config(spec: dict, args) -> ExperimentConfig:
     generator = _settings(GeneratorConfig, _require(spec, "generator", dict), "generator",
-                          _GENERATOR_FIELDS)
+                          _SPEC_GENERATOR_FIELDS)
     true_rule = _rule_from_spec(_require(spec, "true_rule", dict), "true_rule")
     grid_axes = _require(spec, "grid", dict)
     grid = expand_grid(

@@ -7,9 +7,13 @@ stream each for network generation, diffusion simulation and optimizer
 jitter.  Aggregation is by replicate index, so runs are bit-identical
 whether replicates execute serially or across worker processes.
 
-Replicates whose model fits raise one of `FIT_ERRORS` are counted as
-failures and excluded from the affected cell's tallies; the counts appear in
-every result row.  Any other exception is a bug and propagates.
+Selection and coverage run through one per-cell tally, `_tally`: a
+replicate worker scores each replicate 0/1 per label of its cell (a
+candidate rule, or an identified parameter), and each row counts the 1s of
+one label.  Replicates whose model fits raise one of `FIT_ERRORS` score
+None instead; they are counted as failures and excluded from the cell's
+tallies, and the counts appear in every result row.  Any other exception is
+a bug and propagates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -115,12 +119,20 @@ def expand_grid(
     seen_null = False
     for combo in itertools.product(*(axes[name] for name in names)):
         cell = {name: float(v) for name, v in zip(names, combo)}
-        if true_rule.size_param is not None and cell.get(true_rule.size_param) == 0.0:
+        if _identified(true_rule, cell)[0]:
             if seen_null:
                 continue
             seen_null = True
         cells.append(cell)
     return cells
+
+
+def _identified(rule: TransmissionRule, cell: Mapping[str, float]) -> tuple[bool, tuple[str, ...]]:
+    """(whether ``cell`` is a null cell, one where the rule's size parameter
+    is truly 0; the parameters the cell identifies: only the size parameter
+    in a null cell, all of them otherwise)."""
+    null = rule.size_param is not None and cell.get(rule.size_param) == 0.0
+    return null, (rule.size_param,) if null else rule.param_names
 
 
 def _derived_seed_int(base: int, *path: int) -> int:
@@ -139,44 +151,44 @@ def _replicate_data(config: ExperimentConfig, cell_idx: int, rep: int) -> Diffus
     return data
 
 
-def _selection_replicate(args) -> int:
-    """Winner index among candidates, or -1 when any fit fails."""
+def _selection_replicate(args) -> tuple[int, ...] | None:
+    """One-hot vector of the AICc winner among the candidates; None when any
+    fit fails."""
     config, cell_idx, rep = args
     try:
         data = _replicate_data(config, cell_idx, rep)
         table = build_event_table(data)
-        aiccs = []
-        ks = []
+        keys = []  # the winner has the least (aicc, k, index)
         for c_idx, rule in enumerate(config.candidates):
             fit_cfg = replace(
                 config.fit, seed=_derived_seed_int(config.base_seed, cell_idx, rep, 2, c_idx)
             )
             res = fit_oada(table, rule, fit_cfg)
-            aiccs.append(res.aicc)
-            ks.append(res.k)
+            keys.append((res.aicc, res.k, c_idx))
     except FIT_ERRORS:
-        return -1
-    return min(range(len(aiccs)), key=lambda i: (aiccs[i], ks[i], i))
+        return None
+    best = min(keys)[2]
+    return tuple(int(key[2] == best) for key in keys)
 
 
 def _coverage_replicate(args) -> tuple[int, ...] | None:
     """Per identified parameter: 1 contained, 0 not; None when the fit fails."""
-    config, cell_idx, rep, param_indices = args
+    config, cell_idx, rep = args
+    rule = config.true_rule
+    cell = config.grid[cell_idx]
     try:
         data = _replicate_data(config, cell_idx, rep)
         fit_cfg = replace(
             config.fit, seed=_derived_seed_int(config.base_seed, cell_idx, rep, 2)
         )
-        res = fit_oada(data, config.true_rule, fit_cfg)
+        res = fit_oada(data, rule, fit_cfg)
         prof_cfg = replace(
             config.profile, seed=_derived_seed_int(config.base_seed, cell_idx, rep, 3)
         )
-        cell = config.grid[cell_idx]
         out = []
-        for p_idx in param_indices:
-            ci = profile_ci(res, p_idx, config=prof_cfg)
-            truth = cell[config.true_rule.param_names[p_idx]]
-            out.append(1 if ci.contains(truth) else 0)
+        for name in _identified(rule, cell)[1]:
+            ci = profile_ci(res, rule.param_names.index(name), config=prof_cfg)
+            out.append(1 if ci.contains(cell[name]) else 0)
         return tuple(out)
     except FIT_ERRORS:
         return None
@@ -195,6 +207,29 @@ def _half_width(p: float, n: int) -> float:
         return math.nan
     return Z_95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
+
+def _tally(config: ExperimentConfig, worker, labels, row_type, threads: int) -> tuple:
+    """One ``row_type`` row per grid cell and label of ``labels(cell)``.
+
+    ``worker((config, cell_idx, rep))`` scores one replicate: a 0/1 per label
+    of its cell, or None when a fit failed.  A row counts the replicates that
+    scored 1 for its label among those that did not fail."""
+    rows = []
+    for cell_idx, cell in enumerate(config.grid):
+        tasks = [(config, cell_idx, rep) for rep in range(config.reps)]
+        scores = [s for s in _map_tasks(worker, tasks, threads) if s is not None]
+        n_ok = len(scores)
+        for j, label in enumerate(labels(cell)):
+            count = sum(s[j] for s in scores)
+            share = count / n_ok if n_ok else math.nan
+            rows.append(row_type(dict(cell), label, count, n_ok, config.reps - n_ok,
+                                 share, _half_width(share, n_ok)))
+    return tuple(rows)
+
+
+# SelectionRow and CoverageRow share one field layout, which `_tally` builds
+# and `_write_rows_csv` reads by position: the true cell, the row's label,
+# its count, the replicate tallies, the share of n_ok and its half width.
 
 @dataclass(frozen=True)
 class SelectionRow:
@@ -223,27 +258,9 @@ def run_selection_experiment(
     if not config.candidates:
         raise ValueError("selection experiments need candidate rules")
     t0 = time.perf_counter()
-    rows: list[SelectionRow] = []
-    for cell_idx, cell in enumerate(config.grid):
-        tasks = [(config, cell_idx, rep) for rep in range(config.reps)]
-        winners = _map_tasks(_selection_replicate, tasks, threads)
-        n_failed = sum(1 for wi in winners if wi < 0)
-        n_ok = config.reps - n_failed
-        for c_idx, rule in enumerate(config.candidates):
-            count = sum(1 for wi in winners if wi == c_idx)
-            p = count / n_ok if n_ok else math.nan
-            rows.append(
-                SelectionRow(
-                    cell=dict(cell),
-                    rule_kind=rule.kind,
-                    favored_count=count,
-                    n_ok=n_ok,
-                    n_failed=n_failed,
-                    proportion=p,
-                    ci_half_width=_half_width(p, n_ok),
-                )
-            )
-    return SelectionResult(tuple(rows), config, time.perf_counter() - t0)
+    kinds = [rule.kind for rule in config.candidates]
+    rows = _tally(config, _selection_replicate, lambda cell: kinds, SelectionRow, threads)
+    return SelectionResult(rows, config, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -280,45 +297,16 @@ def run_coverage_experiment(
         raise ValueError("coverage experiments require the true rule among candidates")
     t0 = time.perf_counter()
     rule = config.true_rule
-    rows: list[CoverageRow] = []
-    skipped: list[dict] = []
-    for cell_idx, cell in enumerate(config.grid):
-        null_cell = (
-            rule.size_param is not None and cell.get(rule.size_param) == 0.0
-        )
-        param_indices = []
-        for p_idx, name in enumerate(rule.param_names):
-            if null_cell and name != rule.size_param:
-                skipped.append(
-                    {
-                        "cell": dict(cell),
-                        "param": name,
-                        "reason": f"non-identified when {rule.size_param} = 0",
-                    }
-                )
-            else:
-                param_indices.append(p_idx)
-        tasks = [
-            (config, cell_idx, rep, tuple(param_indices)) for rep in range(config.reps)
-        ]
-        results = _map_tasks(_coverage_replicate, tasks, threads)
-        n_failed = sum(1 for r in results if r is None)
-        n_ok = config.reps - n_failed
-        for j, p_idx in enumerate(param_indices):
-            count = sum(r[j] for r in results if r is not None)
-            cov = count / n_ok if n_ok else math.nan
-            rows.append(
-                CoverageRow(
-                    cell=dict(cell),
-                    param_name=rule.param_names[p_idx],
-                    contained_count=count,
-                    n_ok=n_ok,
-                    n_failed=n_failed,
-                    coverage=cov,
-                    ci_half_width=_half_width(cov, n_ok),
-                )
-            )
-    return CoverageResult(tuple(rows), tuple(skipped), config, time.perf_counter() - t0)
+    skipped = tuple(
+        {"cell": dict(cell), "param": name,
+         "reason": f"non-identified when {rule.size_param} = 0"}
+        for cell in config.grid
+        for name in rule.param_names
+        if name not in _identified(rule, cell)[1]
+    )
+    rows = _tally(config, _coverage_replicate, lambda cell: _identified(rule, cell)[1],
+                  CoverageRow, threads)
+    return CoverageResult(rows, skipped, config, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -444,21 +432,11 @@ def calibrate_ci(
 
 # --- tabular output ---
 
-def _cell_columns(rows) -> list[str]:
-    names: list[str] = []
-    for row in rows:
-        for name in row.cell:
-            if name not in names:
-                names.append(name)
-    return names
-
-
-def _write_rows_csv(path: str, rows, columns: Sequence[str], values) -> None:
+def _write_rows_csv(path: str, rows, columns: Sequence[str]) -> None:
     """One line per result row: the true cell values, then the row's label,
-    count and share (named by ``columns``, read by ``values(row)``) around the
-    replicate tallies."""
+    count and share (named by ``columns``) around the replicate tallies."""
     label, count, share = columns
-    cell_cols = _cell_columns(rows)
+    cell_cols = list(dict.fromkeys(name for row in rows for name in row.cell))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -466,32 +444,29 @@ def _write_rows_csv(path: str, rows, columns: Sequence[str], values) -> None:
             + [label, count, "n_ok", "n_failed", share, "ci_half_width"]
         )
         for row in rows:
-            label_value, count_value, share_value = values(row)
+            cell, label_value, count_value, n_ok, n_failed, share_value, half = astuple(row)
             writer.writerow(
-                [repr(float(row.cell[c])) for c in cell_cols]
-                + [
-                    label_value,
-                    count_value,
-                    row.n_ok,
-                    row.n_failed,
-                    repr(float(share_value)),
-                    repr(float(row.ci_half_width)),
-                ]
+                [repr(float(cell[c])) for c in cell_cols]
+                + [label_value, count_value, n_ok, n_failed,
+                   repr(float(share_value)), repr(float(half))]
             )
 
 
 def write_selection_csv(result: SelectionResult, path: str) -> None:
-    _write_rows_csv(
-        path, result.rows, ("rule", "favored_count", "proportion"),
-        lambda r: (r.rule_kind, r.favored_count, r.proportion),
-    )
+    _write_rows_csv(path, result.rows, ("rule", "favored_count", "proportion"))
 
 
 def write_coverage_csv(result: CoverageResult, path: str) -> None:
-    _write_rows_csv(
-        path, result.rows, ("param", "contained_count", "coverage"),
-        lambda r: (r.param_name, r.contained_count, r.coverage),
-    )
+    _write_rows_csv(path, result.rows, ("param", "contained_count", "coverage"))
+
+
+def _rule_settings(rule: TransmissionRule) -> dict:
+    """A rule's constants and box, with infinite bounds written as strings."""
+    settings = {"kind": rule.kind, "param_names": list(rule.param_names),
+                "fixed": {k: float(v) for k, v in rule.fixed.items()}}
+    for side, bounds in (("lower", rule.lower), ("upper", rule.upper)):
+        settings[side] = [float(v) if math.isfinite(v) else repr(float(v)) for v in bounds]
+    return settings
 
 
 def run_manifest(
@@ -516,6 +491,10 @@ def run_manifest(
         "cells": [dict(c) for c in config.grid],
         "true_rule": config.true_rule.kind,
         "candidates": [r.kind for r in config.candidates],
+        "rule_settings": {
+            "true_rule": _rule_settings(config.true_rule),
+            "candidates": [_rule_settings(r) for r in config.candidates],
+        },
         "generator": {
             "n": config.generator.n,
             "sparsity_threshold": config.generator.sparsity_threshold,
@@ -529,6 +508,8 @@ def run_manifest(
         "profile": {
             "cutoff": config.profile.cutoff,
             "rel_tol": config.profile.rel_tol,
+            "inner_restarts": config.profile.inner_restarts,
+            "inner_max_evals": config.profile.inner_max_evals,
         },
         "threads": threads,
         "versions": {

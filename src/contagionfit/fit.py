@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
-from .oada import DiffusionData, EventTable, _nll_from_sums, _nll_generic, aicc, build_event_table
+from .oada import DiffusionData, EventTable, _nll, aicc, build_event_table
 from .rules import TransmissionRule
 
 __all__ = [
@@ -356,9 +356,9 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
 
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
-    """NLL as a plain params -> float callable (no bounds checks)."""
-    nll = _nll_from_sums if rule.sums_rate is not None else _nll_generic
-    return lambda p: nll(rule, np.asarray(p, dtype=float), table)
+    """NLL as a plain params -> float callable (no bounds checks; an invalid
+    rate raises ValueError)."""
+    return lambda p: _nll(rule, np.asarray(p, dtype=float), table)
 
 
 def hessian_standard_errors(

@@ -279,10 +279,6 @@ def build_event_table(data: DiffusionData) -> EventTable:
     return EventTable(data=data, **arrays)
 
 
-def _run_rates(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> np.ndarray:
-    return np.asarray(rule.sums_rate(params, table.run_w, table.run_total), dtype=float)
-
-
 def _nll_from_rates(t: np.ndarray, table: EventTable) -> float:
     """NLL from one social rate per run.
 
@@ -302,11 +298,6 @@ def _nll_from_rates(t: np.ndarray, table: EventTable) -> float:
     return val if math.isfinite(val) else math.inf
 
 
-def _nll_from_sums(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
-    """Fast path: one rate per run, no validation."""
-    return _nll_from_rates(_run_rates(rule, params, table), table)
-
-
 def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
     """General path for rules that need the full (connections, status) view."""
     sums = _NaiveSums(table.data.network)
@@ -319,20 +310,26 @@ def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) 
     return nll
 
 
+def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
+    """NLL by the rule's one path, with every rate checked: the generic walk
+    for rules without ``sums_rate``, else one rate per run."""
+    if rule.sums_rate is None:
+        return _nll_generic(rule, params, table)
+    t = rule.sums_rate(params, table.run_w, table.run_total)
+    return _nll_from_rates(_check_rates(rule, t), table)
+
+
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:
     """Exact NLL of the observed acquisition order under ``rule``.
 
     Parameters are validated against the rule's box bounds.  Raises
     ValueError if the rule produces a non-finite or negative rate anywhere
-    in the table.
+    in the table, or a non-finite likelihood.
     """
-    p = rule.check_params(params)
-    if rule.sums_rate is None:
-        nll = _nll_generic(rule, p, table)
-        if not np.isfinite(nll):
-            raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
-        return nll
-    return _nll_from_rates(_check_rates(rule, _run_rates(rule, p, table)), table)
+    nll = _nll(rule, rule.check_params(params), table)
+    if not np.isfinite(nll):
+        raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
+    return nll
 
 
 def asocial_nll(table: EventTable) -> float:

@@ -195,6 +195,16 @@ def test_simulate_initial_individuals(toy_files, capsys):
     assert sorted(order) == [1, 2, 3]
 
 
+def test_simulate_rejects_fractional_initial(toy_files, capsys):
+    net, _ = toy_files
+    code = main([
+        "simulate", "--network", net, "--rule", "simple",
+        "--params", "2.0", "--initial", "4,2.7", "--seed", "1",
+    ])
+    assert code == 1
+    assert "2.7" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- compare
 
 def test_compare_table(toy_files, capsys):
@@ -226,6 +236,31 @@ def test_compare_csv_out(toy_files, tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_compare_failed_rule_exits_2_with_empty_row(toy_files, capsys, monkeypatch):
+    import contagionfit.cli as cli_mod
+
+    fit = cli_mod.fit_oada
+
+    def fit_or_fail(table, rule, cfg):
+        if rule.kind == "proportional":
+            raise RuntimeError("synthetic fit failure")
+        return fit(table, rule, cfg)
+
+    monkeypatch.setattr(cli_mod, "fit_oada", fit_or_fail)
+    net, order = toy_files
+    code = main([
+        "compare", "--network", net, "--order", order,
+        "--rules", "asocial,proportional,simple",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'proportional' failed" in captured.err
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 4
+    assert lines[-1] == "proportional,,,,,false"
+    assert lines[1].endswith(",true")
 
 
 def test_compare_duplicate_rules_exit_1(toy_files, capsys):
@@ -382,6 +417,8 @@ def test_experiment_spec_error_names_field(tmp_path, capsys):
     ("generator", {"n": "30"}, "'n'"),
     ("generator", {"n": 30.5}, "'n'"),
     ("profile", {"cutoff": True}, "'cutoff'"),
+    # networks are seeded per replicate from the spec's seed
+    ("generator", {"seed": 5}, "'seed'"),
 ])
 def test_experiment_spec_settings_are_typed(tmp_path, capsys, field, value, name):
     spec = json.loads(_selection_spec(tmp_path).read_text())

@@ -13,6 +13,7 @@ from contagionfit import (
     ExperimentConfig,
     FitConfig,
     GeneratorConfig,
+    ProfileConfig,
     asocial_rule,
     build_event_table,
     calibrate_ci,
@@ -27,6 +28,7 @@ from contagionfit import (
     run_selection_experiment,
     simple_rule,
     simulate_diffusion,
+    threshold_rule,
     write_coverage_csv,
     write_selection_csv,
 )
@@ -207,6 +209,29 @@ def test_coverage_reproducible():
         assert ra.contained_count == rb.contained_count
 
 
+def test_coverage_threads_equivalent():
+    cfg = _mini_coverage_config(reps=3)
+    serial = run_coverage_experiment(cfg, threads=1)
+    parallel = run_coverage_experiment(cfg, threads=2)
+    assert serial.rows == parallel.rows
+    assert serial.skipped == parallel.skipped
+
+
+def test_coverage_failure_accounting(monkeypatch):
+    cfg = _mini_coverage_config(reps=3)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic fit failure")
+
+    monkeypatch.setattr(exp_mod, "fit_oada", boom)
+    result = run_coverage_experiment(cfg)
+    assert len(result.rows) == 3  # s in the null cell, s and f in the other
+    for row in result.rows:
+        assert row.n_failed == 3
+        assert row.n_ok == 0
+        assert math.isnan(row.coverage)
+
+
 def test_coverage_csv_output(tmp_path):
     result = run_coverage_experiment(_mini_coverage_config(reps=3))
     path = tmp_path / "coverage.csv"
@@ -304,6 +329,34 @@ def test_run_manifest_contents():
     assert "numpy" in manifest["versions"]
     assert "timestamp" in manifest
     json.dumps(manifest)
+
+
+def test_run_manifest_records_rule_settings_and_profile():
+    def manifest(sharpness, inner_restarts):
+        rule = threshold_rule(sharpness=sharpness)
+        cfg = ExperimentConfig(
+            generator=GeneratorConfig(n=20),
+            true_rule=rule,
+            grid=[{"a": 1.0, "c": 0.0}],
+            candidates=(asocial_rule(), rule),
+            reps=2,
+            profile=ProfileConfig(inner_restarts=inner_restarts),
+        )
+        return run_manifest(cfg, "selection", 0.0, include_timestamp=False)
+
+    a, b = manifest(3.0, 2), manifest(5.0, 5)
+    # the sharpness is a constant of the rule, not a grid parameter
+    assert a["cells"] == b["cells"] and a["true_rule"] == b["true_rule"]
+    assert a["rule_settings"]["true_rule"] == {
+        "kind": "threshold", "param_names": ["a", "c"], "fixed": {"b": 3.0},
+        "lower": [0.0, 0.0], "upper": ["inf", "inf"],
+    }
+    assert b["rule_settings"]["true_rule"]["fixed"] == {"b": 5.0}
+    assert [r["kind"] for r in b["rule_settings"]["candidates"]] == ["asocial", "threshold"]
+    assert b["rule_settings"]["candidates"][1]["fixed"] == {"b": 5.0}
+    assert (a["profile"]["inner_restarts"], b["profile"]["inner_restarts"]) == (2, 5)
+    assert a["profile"]["inner_max_evals"] == ProfileConfig().inner_max_evals
+    json.dumps(b)
 
 
 def test_run_manifest_timestamp_optional():

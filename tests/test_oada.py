@@ -188,11 +188,15 @@ def test_nll_rejects_invalid_params(toy_data):
 
 def test_nll_rejects_negative_rate_of_generic_rule(toy_data):
     table = build_event_table(toy_data)
-    rule = custom_rule("offset", ["s"], rate=lambda p, a, z: p[0] * (a @ z) - 0.5)
-    with pytest.raises(ValueError, match="invalid rate"):
-        negative_log_likelihood(rule, [1.0], table)
-    fit = fit_oada(table, rule)  # every evaluation is refused
-    assert fit.nll == math.inf and not fit.converged
+    # the same rate through the generic walk and through the per-run sums
+    for rule in (
+        custom_rule("offset", ["s"], rate=lambda p, a, z: p[0] * (a @ z) - 0.5),
+        custom_rule("offset", ["s"], sums_rate=lambda p, w, tot: p[0] * w - 0.5),
+    ):
+        with pytest.raises(ValueError, match="invalid rate"):
+            negative_log_likelihood(rule, [1.0], table)
+        fit = fit_oada(table, rule)  # every evaluation is refused
+        assert fit.nll == math.inf and not fit.converged
 
 
 def test_aicc_values():
