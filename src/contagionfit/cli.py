@@ -83,43 +83,42 @@ def _parse_pairs(pairs, flag: str) -> dict[str, float]:
     return values
 
 
-def _build_rule(name: str, b: float | None, estimate_b: bool, f_lower: float | None):
-    """A built-in rule by name, given the constants it owns (threshold: ``b``
-    and ``estimate_b``; freqdep: ``f_lower``) and not the others."""
-    name = name.strip().lower()
-    kwargs = {}
-    if name == "threshold":
-        if b is not None:
-            kwargs["sharpness"] = b
-        if estimate_b:
-            kwargs["estimate_sharpness"] = True
-    if name == "freqdep" and f_lower is not None:
-        kwargs["f_lower"] = f_lower
-    return rule_from_name(name, **kwargs)
+# rule constant -> (the built-in rule that owns it, the factory keyword that
+# sets it, its type, its command-line flag)
+_RULE_CONSTANTS = {
+    "b": ("threshold", "sharpness", float, "--fix b"),
+    "estimate_b": ("threshold", "estimate_sharpness", bool, "--estimate-b"),
+    "f_lower": ("freqdep", "f_lower", float, "--f-lower"),
+}
+
+
+def _build_rules(names, constants: dict, label) -> list:
+    """The built-in rules ``names`` with ``constants`` (name -> value, see
+    `_RULE_CONSTANTS`) set on the rules that own them; a constant that none
+    of them owns is a ValueError naming it by ``label(name)``."""
+    kinds = [rule_from_name(name).kind for name in names]
+    kwargs = {kind: {} for kind in kinds}
+    for constant, value in constants.items():
+        owner, keyword = _RULE_CONSTANTS[constant][:2]
+        if owner not in kwargs:
+            raise ValueError(f"{label(constant)}: no requested rule "
+                             f"({', '.join(sorted(kwargs))}) has that constant")
+        kwargs[owner][keyword] = value
+    return [rule_from_name(kind, **kwargs[kind]) for kind in kinds]
 
 
 def _rules_from_args(names, args) -> list:
-    """The named rules with the command line's rule options (``--fix``,
-    ``--estimate-b``, ``--f-lower``) applied to the rules that own them; an
-    option that none of them owns is an input error."""
+    """The named rules with the command line's rule constants (``--fix b``,
+    ``--estimate-b``, ``--f-lower``) applied to the rules that own them."""
     fixes = _parse_pairs(args.fix, "--fix")
-    b = fixes.pop("b", None)
-    rules = [_build_rule(name, b, args.estimate_b, args.f_lower) for name in names]
-    kinds = {rule.kind for rule in rules}
-    options = [(f"--fix {name}", None) for name in sorted(fixes)]
-    if b is not None:
-        options.append(("--fix b", "threshold"))
+    constants = {"b": fixes.pop("b")} if "b" in fixes else {}
+    if fixes:
+        raise ValueError(f"--fix {sorted(fixes)[0]}: not a rule constant (only b can be fixed)")
     if args.estimate_b:
-        options.append(("--estimate-b", "threshold"))
+        constants["estimate_b"] = True
     if args.f_lower is not None:
-        options.append(("--f-lower", "freqdep"))
-    for option, owner in options:
-        if owner not in kinds:
-            raise ValueError(
-                f"{option}: no requested rule ({', '.join(sorted(kinds))}) "
-                "has that constant"
-            )
-    return rules
+        constants["f_lower"] = args.f_lower
+    return _build_rules(names, constants, lambda constant: _RULE_CONSTANTS[constant][3])
 
 
 def _load_data(network: str, order: str, header: bool) -> DiffusionData:
@@ -145,7 +144,8 @@ def _settings(cls, doc, where: str, names):
     """A ``cls`` settings object from the JSON object ``doc``, which may set
     the dataclass fields ``names``.  A field takes the type of its default
     (an integer field takes any integral number) and keeps the default when
-    absent; an unknown field or a wrong type is a ValueError naming it."""
+    absent; an unknown field, a wrong type or a value ``cls`` refuses is a
+    ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name in names}
@@ -159,7 +159,10 @@ def _settings(cls, doc, where: str, names):
             expected = "an integer" if kind is int else "a number"
             raise ValueError(f"{where}: field {name!r} must be {expected}, got {value!r}")
         kwargs[name] = kind(value)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _write_json(doc, path: str | None = None) -> None:
@@ -331,17 +334,23 @@ def cmd_compare(args) -> int:
 # --- experiment specs ---
 
 def _rule_from_spec(doc, where: str):
+    """A built-in rule from a spec object: its ``name`` and any constants of
+    `_RULE_CONSTANTS` that it owns, ``estimate_b`` a boolean and the others
+    numbers."""
     if not isinstance(doc, dict) or "name" not in doc:
         raise ValueError(f"{where}: expected an object with a 'name' field")
-    extra = set(doc) - {"name", "b", "estimate_b", "f_lower"}
-    if extra:
-        raise ValueError(f"{where}: unknown field {sorted(extra)[0]!r}")
-    return _build_rule(
-        str(doc["name"]),
-        b=float(doc["b"]) if "b" in doc else None,
-        estimate_b=bool(doc.get("estimate_b")),
-        f_lower=float(doc["f_lower"]) if "f_lower" in doc else None,
-    )
+    constants = {name: value for name, value in doc.items() if name != "name"}
+    for name, value in constants.items():
+        if name not in _RULE_CONSTANTS:
+            raise ValueError(f"{where}: unknown field {name!r}")
+        kind = _RULE_CONSTANTS[name][2]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float)):
+            expected = "true or false" if kind is bool else "a number"
+            raise ValueError(f"{where}: field {name!r} must be {expected}, got {value!r}")
+        constants[name] = kind(value)
+    [rule] = _build_rules([str(doc["name"])], constants,
+                          lambda constant: f"{where}: field {constant!r}")
+    return rule
 
 
 def _require(spec: dict, field: str, kind, where: str = "spec"):

@@ -57,6 +57,8 @@ Z_95 = 1.959963984540054  # normal 0.975 quantile for binomial half-widths
 # what a fit on unlucky data may raise (numpy's LinAlgError is a ValueError);
 # TypeError, IndexError and the like are bugs and must propagate
 FIT_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+# `calibrate_ci` gives up when more than this share of its replicates fail
+MAX_FAILURE_FRAC = 0.2
 
 
 class CalibrationError(RuntimeError):
@@ -348,9 +350,7 @@ def calibrate_ci(
     param_index: int,
     reps: int = 200,
     seed: int = 0,
-    profile_config: ProfileConfig | None = None,
     fit_config: FitConfig | None = None,
-    max_failure_frac: float = 0.2,
 ) -> CalibrationResult:
     """Parametric-bootstrap calibration of one parameter's profile CI.
 
@@ -358,9 +358,10 @@ def calibrate_ci(
     refits each, and records the likelihood-ratio statistic of the
     generating parameter value.  The adjusted cutoff is half the 95th
     percentile of those statistics (never below the asymptotic 1.92), and
-    the adjusted interval is forced to contain the unadjusted one.
+    the adjusted interval is forced to contain the unadjusted one.  Profiles
+    use the default `ProfileConfig`.
 
-    Raises `CalibrationError` when more than ``max_failure_frac`` of the
+    Raises `CalibrationError` when more than `MAX_FAILURE_FRAC` of the
     bootstrap replicates fail to fit.
     """
     rule = fit.rule
@@ -370,7 +371,7 @@ def calibrate_ci(
         raise ValueError(f"param_index {param_index} out of range")
     if reps < 20:
         raise ValueError("calibration needs at least 20 bootstrap replicates")
-    prof_cfg = profile_config or ProfileConfig()
+    prof_cfg = ProfileConfig()
     base_fit_cfg = fit_config or fit.config or FitConfig()
     gen_value = float(fit.mle[param_index])
 
@@ -399,7 +400,7 @@ def calibrate_ci(
             n_failed += 1
             continue
         lr_stats.append(max(lr, 0.0))
-    if n_failed > max_failure_frac * reps:
+    if n_failed > MAX_FAILURE_FRAC * reps:
         raise CalibrationError(
             f"{n_failed}/{reps} bootstrap replicates failed to fit; "
             "the model may be unstable at the fitted parameters"

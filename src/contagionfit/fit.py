@@ -55,6 +55,9 @@ SCAN_HALF_WIDTH = 10.0
 SCAN_POINTS = 11
 SCAN_MAX_STEPS = 30  # outward steps of the grid spacing past the grid's edge
 POLISH_XATOL = 1e-5
+# finite-difference Hessian step: relative to each coordinate, with a floor
+HESSIAN_REL_STEP = 1e-4
+HESSIAN_ABS_FLOOR = 1e-6
 _SCAN_OFFSETS = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
 
 
@@ -219,7 +222,6 @@ class MultistartResult:
     fun: float
     converged: bool
     n_evals: int
-    start_values: tuple[float, ...]  # objective at each start, diagnostics
 
 
 def _safe(objective: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
@@ -252,9 +254,9 @@ def minimize_multistart(
     not used.  With two or more, Nelder-Mead runs from ``start`` plus
     ``restarts`` jittered restarts, all on the transformed space.
 
-    The answer never has a higher objective than the start point itself (the
-    start is kept when a run goes astray), and the overall winner is the
-    lowest final value, earliest start on exact ties.
+    The answer never has a higher objective than the start point, which is
+    kept when a run goes astray or none finds a finite value; the winner is
+    the lowest final value, earliest start on exact ties.
     """
     transform = BoxTransform(lower, upper)
     obj = _safe(objective)
@@ -262,8 +264,7 @@ def minimize_multistart(
     z0 = transform.to_internal(x0)
     k = z0.size
     if k == 0:
-        v = obj(np.zeros(0))
-        return MultistartResult(np.zeros(0), v, True, 1, (v,))
+        return MultistartResult(np.zeros(0), obj(np.zeros(0)), True, 1)
     if k == 1:
         zc = z0 if centre is None else transform.to_internal(
             transform.nudge_inside(np.asarray(centre, dtype=float)))
@@ -275,14 +276,10 @@ def minimize_multistart(
         jitter = np.log(rng.uniform(0.25, 4.0, size=(restarts, k)))
         z_starts.extend(z0 + jitter[r] for r in range(restarts))
 
-    best_x: np.ndarray | None = None
-    best_f = math.inf
-    best_ok = False
+    best_x, best_f, best_ok = transform.to_external(z0), math.inf, False
     total_evals = 0
-    start_vals = []
     for z_init in z_starts:
         f_init = obj(transform.to_external(z_init))
-        start_vals.append(f_init)
         total_evals += 1
         simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
         res = minimize(
@@ -304,7 +301,7 @@ def minimize_multistart(
             cand_x, cand_f, cand_ok = transform.to_external(z_init), f_init, False
         if cand_f < best_f:
             best_x, best_f, best_ok = cand_x, cand_f, cand_ok
-    return MultistartResult(best_x, best_f, best_ok, total_evals, tuple(start_vals))
+    return MultistartResult(best_x, best_f, best_ok, total_evals)
 
 
 def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: float):
@@ -326,7 +323,6 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
     grid = z_centre + _SCAN_OFFSETS
     zs = sorted({*map(float, grid), z_start})
     fs = [at(z) for z in zs]
-    f_start = fs[zs.index(z_start)]
     spacing = grid[1] - grid[0]
     for _ in range(SCAN_MAX_STEPS):
         if fs[0] < min(fs[1:]):
@@ -350,9 +346,8 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
         n_evals += res.nfev
         if res.fun < f_best:
             z_best, f_best = float(res.x), float(res.fun)
-    return MultistartResult(
-        transform.to_external([z_best]), f_best, math.isfinite(f_best), n_evals, (f_start,)
-    )
+    x_best = transform.to_external([z_best])
+    return MultistartResult(x_best, f_best, math.isfinite(f_best), n_evals)
 
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
@@ -366,8 +361,6 @@ def hessian_standard_errors(
     x,
     lower=None,
     upper=None,
-    rel_step: float = 1e-4,
-    abs_floor: float = 1e-6,
 ) -> np.ndarray | None:
     """SEs from a central finite-difference Hessian; None when unusable.
 
@@ -379,7 +372,7 @@ def hessian_standard_errors(
     k = x.size
     if k == 0:
         return np.zeros(0)
-    h = np.maximum(rel_step * np.abs(x), abs_floor)
+    h = np.maximum(HESSIAN_REL_STEP * np.abs(x), HESSIAN_ABS_FLOOR)
     if lower is not None and np.any(x - h < np.asarray(lower, dtype=float)):
         return None
     if upper is not None and np.any(x + h > np.asarray(upper, dtype=float)):
@@ -416,14 +409,12 @@ def hessian_standard_errors(
     return np.sqrt(var)
 
 
-def standard_errors(fit: FitResult, rel_step: float = 1e-4, abs_floor: float = 1e-6):
+def standard_errors(fit: FitResult):
     """Recompute SEs for a fit (None at a bound or with an unusable Hessian)."""
     if any(fit.boundary_flags):
         return None
     lower, upper = fit.box
-    return hessian_standard_errors(
-        nll_objective(fit.rule, fit.table), fit.mle, lower, upper, rel_step, abs_floor
-    )
+    return hessian_standard_errors(nll_objective(fit.rule, fit.table), fit.mle, lower, upper)
 
 
 def _resolve_bounds(rule: TransmissionRule, cfg: FitConfig):
@@ -454,7 +445,8 @@ def fit_oada(
     Accepts a `DiffusionData` or a prebuilt `EventTable`.  Deterministic for
     fixed inputs and config.  ``n_evals`` counts every NLL evaluation: the
     one of a rule with no free parameters, scan plus polish for one
-    parameter, all starts for more.
+    parameter, all starts for more.  Raises ValueError when no point the
+    search visited gives a finite NLL (the rule's rate is invalid there).
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)
     cfg = config or FitConfig()
@@ -472,6 +464,8 @@ def fit_oada(
         max_evals=cfg.max_evals,
         seed=np.random.SeedSequence([cfg.seed]),
     )
+    if not math.isfinite(ms.fun):
+        raise ValueError(f"rule {rule.kind!r}: no finite likelihood where the fit searched")
     mle = ms.x
     flags = []
     notes = []

@@ -188,8 +188,8 @@ def _rescan_row(line: str, line_no: int, path: str) -> np.ndarray | None:
     return np.array([_parse_float(c, line_no, path) for c in cells])
 
 
-def load_network_csv(path: str, header: bool = False, label: str = "") -> Network:
-    """Read a square comma-separated weight matrix.
+def load_network_csv(path: str, header: bool = False) -> Network:
+    """Read a square comma-separated weight matrix, labelled with ``path``.
 
     Parameters
     ----------
@@ -197,8 +197,6 @@ def load_network_csv(path: str, header: bool = False, label: str = "") -> Networ
         CSV file, one row per line.  Blank lines are ignored.
     header : bool
         Skip a single leading header row.
-    label : str
-        Label for the resulting network; defaults to the file path.
 
     Raises
     ------
@@ -229,7 +227,7 @@ def load_network_csv(path: str, header: bool = False, label: str = "") -> Networ
         raise NetworkFormatError(
             f"{path}: matrix is {len(rows)}x{rows[0].size}, expected square"
         )
-    return Network(np.vstack(rows), label=label or path)
+    return Network(np.vstack(rows), label=path)
 
 
 def write_network_csv(network: Network, path: str) -> None:

@@ -50,6 +50,7 @@ __all__ = [
 DEFAULT_CUTOFF = 1.92
 FIRST_OFFSET_FRAC = 0.1
 FIRST_OFFSET_FLOOR = 1e-3
+BRACKET_FACTOR = 2.0
 CEILING_SCALE = 1e6
 INNER_TOLERANCE = 1e-8
 
@@ -58,15 +59,14 @@ INNER_TOLERANCE = 1e-8
 class ProfileConfig:
     """Profile-interval settings.
 
-    ``cutoff``, ``bracket_factor`` and ``rel_tol`` drive the endpoint
-    search.  ``inner_restarts``, ``inner_max_evals`` and ``seed`` set the
-    Nelder-Mead multistart of the inner fit, which only rules with three or
-    more parameters use; two-parameter rules minimize their one nuisance by
-    a fixed scan and a bounded Brent polish (see the module docstring).
+    ``cutoff`` and ``rel_tol`` drive the endpoint search.
+    ``inner_restarts``, ``inner_max_evals`` and ``seed`` set the Nelder-Mead
+    multistart of the inner fit, which only rules with three or more
+    parameters use; two-parameter rules minimize their one nuisance by a
+    fixed scan and a bounded Brent polish (see the module docstring).
     """
 
     cutoff: float = DEFAULT_CUTOFF
-    bracket_factor: float = 2.0
     rel_tol: float = 1e-4
     inner_restarts: int = 2
     inner_max_evals: int = 4000
@@ -75,10 +75,12 @@ class ProfileConfig:
     def __post_init__(self):
         if self.cutoff <= 0:
             raise ValueError("cutoff must be > 0")
-        if self.bracket_factor <= 1:
-            raise ValueError("bracket_factor must be > 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
+        if self.inner_restarts < 0:
+            raise ValueError("inner_restarts must be >= 0")
+        if self.inner_max_evals < 10:
+            raise ValueError("inner_max_evals must be >= 10")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +253,7 @@ def _search_side(
             exits += 1
             if exits >= 2:  # one lookahead point past the first exit
                 break
-        step *= cfg.bracket_factor
+        step *= BRACKET_FACTOR
         x = mle + direction * step
 
     inside = [f <= target for f in fs]

@@ -356,24 +356,13 @@ def rate_proportional(s: float, connections, status) -> float:
 
 
 def rate_frequency_dependent(s: float, f: float, connections, status) -> float:
-    # direct kernel call: f below the fitting box (but > 0) is still a
-    # mathematically valid rate
-    if s < 0 or f <= 0:
-        raise ValueError("requires s >= 0 and f > 0")
-    a = np.asarray(connections, dtype=float)
-    z = np.asarray(status, dtype=float)
-    w = float(a @ z)
-    return float(_freqdep_sums(np.array([s, f]), w, float(a.sum())).ravel()[0])
+    # f below the fitting box (but > 0) is still a valid rate
+    if f <= 0:
+        raise ValueError(f"requires f > 0, got {f}")
+    return eval_rate(frequency_dependent_rule(f_lower=f), [s, f], connections, status)
 
 
 def rate_threshold(
     a_loc: float, c_max: float, connections, status, sharpness: float = DEFAULT_SHARPNESS
 ) -> float:
-    if a_loc < 0 or c_max < 0 or sharpness <= 0:
-        raise ValueError("requires a >= 0, c >= 0 and sharpness > 0")
-    conn = np.asarray(connections, dtype=float)
-    z = np.asarray(status, dtype=float)
-    w = float(conn @ z)
-    return float(
-        _threshold_sums(np.array([a_loc, c_max]), w, float(conn.sum()), sharpness=sharpness)
-    )
+    return eval_rate(threshold_rule(sharpness), [a_loc, c_max], connections, status)

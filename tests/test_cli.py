@@ -419,6 +419,15 @@ def test_experiment_spec_error_names_field(tmp_path, capsys):
     ("profile", {"cutoff": True}, "'cutoff'"),
     # networks are seeded per replicate from the spec's seed
     ("generator", {"seed": 5}, "'seed'"),
+    ("profile", {"inner_restarts": -3, "inner_max_evals": 0}, "inner_restarts"),
+    ("profile", {"inner_max_evals": 0}, "inner_max_evals"),
+    # a rule constant must belong to the rule and have the right JSON type
+    ("true_rule", {"name": "simple", "b": 3}, "'b'"),
+    ("true_rule", {"name": "asocial", "f_lower": 0.5}, "'f_lower'"),
+    ("true_rule", {"name": "freqdep", "estimate_b": True}, "'estimate_b'"),
+    ("true_rule", {"name": "threshold", "estimate_b": "no"}, "'estimate_b'"),
+    ("true_rule", {"name": "threshold", "b": "5"}, "'b'"),
+    ("true_rule", {"name": "freqdep", "f_lower": False}, "'f_lower'"),
 ])
 def test_experiment_spec_settings_are_typed(tmp_path, capsys, field, value, name):
     spec = json.loads(_selection_spec(tmp_path).read_text())

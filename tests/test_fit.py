@@ -15,6 +15,7 @@ from contagionfit import (
     generate_network,
     build_event_table,
     compare_models,
+    custom_rule,
     fit_oada,
     frequency_dependent_rule,
     hessian_standard_errors,
@@ -158,6 +159,24 @@ def test_multistart_never_worse_than_start():
 
     res = minimize_multistart(obj, start=[50.0], lower=[0.0], upper=[np.inf], seed=1)
     assert res.fun <= obj(np.array([50.0])) + 1e-12
+
+
+def test_multistart_keeps_start_when_no_run_is_finite():
+    res = minimize_multistart(lambda x: math.inf, start=[2.0, 3.0], lower=[0.0, 0.0],
+                              upper=[np.inf, np.inf], restarts=2, max_evals=100)
+    assert res.fun == math.inf and not res.converged
+    assert np.allclose(res.x, [2.0, 3.0])
+
+
+@pytest.mark.parametrize("rate", ["sums_rate", "full_rate"])
+def test_two_parameter_fit_without_finite_likelihood_raises(toy_data, rate):
+    # the rate is negative at every point of the box
+    rule = custom_rule("shifted", ["s", "t"], upper=[10.0, 10.0], **{
+        "sums_rate": {"sums_rate": lambda p, w, tot: p[0] * w + p[1] - 5e9},
+        "full_rate": {"rate": lambda p, a, z: p[0] * (a @ z) + p[1] - 5e9},
+    }[rate])
+    with pytest.raises(ValueError, match="'shifted'.*no finite likelihood"):
+        fit_oada(toy_data, rule, FitConfig(restarts=1, max_evals=200))
 
 
 def test_mle_beats_true_params():

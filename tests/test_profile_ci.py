@@ -268,9 +268,11 @@ def test_profile_config_validation():
     with pytest.raises(ValueError):
         ProfileConfig(cutoff=0.0)
     with pytest.raises(ValueError):
-        ProfileConfig(bracket_factor=1.0)
-    with pytest.raises(ValueError):
         ProfileConfig(rel_tol=0.0)
+    with pytest.raises(ValueError, match="inner_restarts"):
+        ProfileConfig(inner_restarts=-1)
+    with pytest.raises(ValueError, match="inner_max_evals"):
+        ProfileConfig(inner_max_evals=9)
 
 
 def test_report_dict_serializable(freqdep_fit):
