@@ -22,6 +22,7 @@ parameter sits on a bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,6 +59,10 @@ POLISH_XATOL = 1e-5
 # finite-difference Hessian step: relative to each coordinate, with a floor
 HESSIAN_REL_STEP = 1e-4
 HESSIAN_ABS_FLOOR = 1e-6
+# what Nelder-Mead sees for +inf: scipy's convergence test reads an all-inf
+# simplex's spread inf - inf as nan and never stops, while an equal finite
+# stand-in lets the shrinking simplex meet xatol; every comparison is kept
+_NM_INF = sys.float_info.max
 _SCAN_OFFSETS = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
 
 
@@ -283,7 +288,7 @@ def minimize_multistart(
         total_evals += 1
         simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
         res = minimize(
-            lambda z: obj(transform.to_external(z)),
+            lambda z: min(obj(transform.to_external(z)), _NM_INF),
             z_init,
             method="Nelder-Mead",
             options={
@@ -295,7 +300,7 @@ def minimize_multistart(
         )
         total_evals += res.nfev
         cand_x = transform.to_external(res.x)
-        cand_f = float(res.fun)
+        cand_f = float(res.fun) if res.fun < _NM_INF else math.inf
         cand_ok = bool(res.success)
         if cand_f > f_init:  # keep the monotone-improvement guarantee
             cand_x, cand_f, cand_ok = transform.to_external(z_init), f_init, False
@@ -352,8 +357,10 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
     """NLL as a plain params -> float callable (no bounds checks; an invalid
-    rate raises ValueError)."""
-    return lambda p: _nll(rule, np.asarray(p, dtype=float), table)
+    rate raises ValueError).  The rule's parameter-free run pieces are
+    prepared here, once, and shared by every evaluation."""
+    run_rates = rule.run_rates(table.run_w, table.run_total)
+    return lambda p: _nll(rule, np.asarray(p, dtype=float), table, run_rates)
 
 
 def hessian_standard_errors(

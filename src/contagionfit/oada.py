@@ -19,13 +19,17 @@ no censoring term for individuals that never acquired.
 ``(w_informed, total)`` change only when one of its in-neighbours acquires,
 so each individual's time as a naive individual splits into a few stretches
 of events with constant sums, and every built-in rate is constant along a
-stretch.  One evaluation calls the rule's ``sums_rate`` once per run and
-forms the D event denominators from one prefix sum of rate changes: a run
-adds its rate minus the rate of the run it replaces, and an acquirer's
-rate leaves after its event.  It costs O(runs + D), where D is the number of
-events and runs <= n + the number of edges whose source acquires before
-its target: about 11 000 runs for n = 1000 at 2 % density, against the
-500 500 (event, naive individual) slots of a complete diffusion.
+stretch.  An objective asks the rule once for ``params -> run rates`` on
+the table's run sums (`TransmissionRule.run_rates`: built-in freqdep and
+proportional rules prepare their parameter-free pieces there, other rules
+go through ``sums_rate``).  One evaluation then maps the parameters to one
+rate per run and forms the D event denominators from one prefix sum of
+rate changes: a run adds its rate minus the rate of the run it replaces,
+and an acquirer's rate leaves after its event.  It costs O(runs + D), where
+D is the number of events and runs <= n + the number of edges whose source
+acquires before its target: about 11 000 runs for n = 1000 at 2 % density,
+against the 500 500 (event, naive individual) slots of a complete
+diffusion.  Rules with only ``full_rate`` walk the events one by one.
 """
 
 from __future__ import annotations
@@ -114,9 +118,12 @@ class EventTable:
     event k.
 
     Event k's denominator is ``n_naive[k] + S_k``, where ``S_k`` sums the
-    rates of the runs present at k.  The likelihood forms every ``S_k`` as
-    one prefix sum: a run adds its rate minus the rate of the run it
-    replaces at its start, and an acquirer's rate leaves after its event.
+    rates of the runs present at k.  The run rates come from the rule's
+    ``run_rates`` on ``(run_w, run_total)``, prepared once per objective;
+    the table caches nothing per rule, which would hold memory for as long
+    as the table lives.  The likelihood forms every ``S_k`` as one prefix
+    sum: a run adds its rate minus the rate of the run it replaces at its
+    start, and an acquirer's rate leaves after its event.
     With ε = 2**-53 the absolute round-off error of ``S_k`` is of order
     ε·(R_k + k)·M_k, where R_k is the number of runs started by event k and
     M_k the largest rate, rate change or ``S`` met up to k; a direct sum over
@@ -153,13 +160,15 @@ class EventTable:
         return self.run_w.size
 
     @functools.cached_property
-    def _flow_index(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(first replacing run, start offset of each event's runs, events
-        where no run starts), for `_nll_from_rates`."""
+    def _flow_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
+        """(first replacing run, the runs those replace, start offset of
+        each event's runs, events where no run starts or None if there are
+        none), for `_nll_from_rates`; rule-independent, so built once per
+        table while every objective evaluation reuses it."""
         first = self.data.network.n
         bounds = np.searchsorted(self.run_start, np.arange(self.n_events + 1))
         empty = np.flatnonzero(bounds[:-1] == bounds[1:])
-        return first, bounds[:-1], empty
+        return first, self.run_prev[first:], bounds[:-1], empty if empty.size else None
 
     @functools.cached_property
     def _flat(self) -> tuple[np.ndarray, ...]:
@@ -286,12 +295,15 @@ def _nll_from_rates(t: np.ndarray, table: EventTable) -> float:
     Returns +inf instead of nan when rates overflow, so optimizers always
     see an ordered objective.
     """
-    first, groups, empty = table._flow_index
+    first, replaced, groups, empty = table._flow_index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        change = np.append(t, 0.0)  # the pad lets trailing empty groups index R
-        change[first:-1] -= t[table.run_prev[first:]]
+        change = np.empty(t.size + 1)  # the pad lets trailing empty groups index R
+        change[:-1] = t
+        change[-1] = 0.0
+        change[first:-1] -= t[replaced]
         flow = np.add.reduceat(change, groups)
-        flow[empty] = 0.0
+        if empty is not None:
+            flow[empty] = 0.0
         t_acq = t[table.acquirer_run]
         flow[1:] -= t_acq[:-1]
         denom = table.n_naive + np.cumsum(flow)
@@ -311,13 +323,14 @@ def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) 
     return nll
 
 
-def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
+def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable, run_rates) -> float:
     """NLL by the rule's one path, with every rate checked: the generic walk
-    for rules without ``sums_rate``, else one rate per run."""
-    if rule.sums_rate is None:
+    for rules without ``sums_rate``, else one rate per run from
+    ``run_rates``, the rule's `TransmissionRule.run_rates` on the table's
+    ``(run_w, run_total)``, which the caller prepares once per objective."""
+    if run_rates is None:
         return _nll_generic(rule, params, table)
-    t = rule.sums_rate(params, table.run_w, table.run_total)
-    return _nll_from_rates(_check_rates(rule, t), table)
+    return _nll_from_rates(_check_rates(rule, run_rates(params)), table)
 
 
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:
@@ -327,7 +340,8 @@ def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -
     ValueError if the rule produces a non-finite or negative rate anywhere
     in the table, or a non-finite likelihood.
     """
-    nll = _nll(rule, rule.check_params(params), table)
+    p = rule.check_params(params)
+    nll = _nll(rule, p, table, rule.run_rates(table.run_w, table.run_total))
     if not np.isfinite(nll):
         raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
     return nll

@@ -9,10 +9,15 @@ probabilities).
 
 Every built-in rule depends on the connections only through two sums:
 ``w_informed = sum_j a_ij z_j`` (connection to informed individuals) and
-``total = sum_j a_ij``.  Such rules carry a vectorized ``sums_rate`` fast
-path which lets the likelihood engine evaluate a whole diffusion from a
-cached table in a few array operations.  Custom rules may instead supply a
-plain per-individual ``full_rate(params, a_i, z)``.
+``total = sum_j a_ij``.  Such rules carry a vectorized
+``sums_rate(params, w_informed, total)``, which the simulator and
+`eval_rate` call on sums that change every step.  The likelihood evaluates
+one table's fixed sums many times, so it asks the rule once per objective
+for ``params -> rates`` on those sums (`TransmissionRule.run_rates`): the
+freqdep and proportional rules ``prepare`` their parameter-free pieces
+there (a log ratio, an informed fraction), and every other rule, custom
+rules included, goes through ``sums_rate``.  Custom rules may instead
+supply a plain per-individual ``full_rate(params, a_i, z)``.
 
 Built-ins
 ---------
@@ -59,6 +64,8 @@ DEFAULT_SHARPNESS = 3.0
 SumsRate = Callable[..., np.ndarray]
 # (params, connections, status) -> scalar rate
 FullRate = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+# (w_informed, total) -> (params -> rates on those sums)
+Prepare = Callable[..., Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,10 @@ class TransmissionRule:
     fixed : name -> value for constants baked into the rule (e.g. b)
     sums_rate : vectorized fast path, present when the rate depends on the
         connections only through (w_informed, total)
+    prepare : optional ``(w_informed, total) -> (params -> rates)`` that
+        computes the parameter-free pieces of ``sums_rate`` once for fixed
+        sums, giving the same rates; `run_rates` falls back to
+        ``sums_rate`` without it
     full_rate : general evaluator used when no fast path exists
     size_param : name of the parameter that switches social learning off at
         0; other parameters are non-identifiable when it is truly 0
@@ -85,6 +96,7 @@ class TransmissionRule:
     upper: tuple[float, ...]
     fixed: Mapping[str, float] = field(default_factory=dict)
     sums_rate: SumsRate | None = None
+    prepare: Prepare | None = None
     full_rate: FullRate | None = None
     size_param: str | None = None
     default_start: tuple[float, ...] = ()
@@ -107,6 +119,17 @@ class TransmissionRule:
     @property
     def n_params(self) -> int:
         return len(self.param_names)
+
+    def run_rates(self, w_informed, total) -> Callable[[np.ndarray], np.ndarray] | None:
+        """``params -> rates`` on the fixed sums ``(w_informed, total)``, with
+        the parameter-free pieces computed here, once: ``prepare``, else
+        ``sums_rate`` on the sums; None for a rule with only ``full_rate``."""
+        if self.prepare is not None:
+            return self.prepare(w_informed, total)
+        if self.sums_rate is None:
+            return None
+        sums_rate = self.sums_rate
+        return lambda params: sums_rate(params, w_informed, total)
 
     def check_params(self, params) -> np.ndarray:
         p = np.atleast_1d(np.asarray(params, dtype=float))
@@ -133,28 +156,47 @@ def _simple_sums(params, w, tot):
     return params[0] * np.asarray(w, dtype=float)
 
 
-def _proportional_sums(params, w, tot):
+def _proportional_prepare(w, tot):
     w = np.asarray(w, dtype=float)
     tot = np.asarray(tot, dtype=float)
-    out = np.zeros(np.broadcast(w, tot).shape)
-    np.divide(w, tot, out=out, where=tot > 0)
-    return params[0] * out
+    frac = np.zeros(np.broadcast(w, tot).shape)
+    np.divide(w, tot, out=frac, where=tot > 0)
+    return functools.partial(_proportional_rate, frac)
 
 
-def _freqdep_sums(params, w, tot):
-    s, f = params
+def _proportional_rate(frac, params):
+    return params[0] * frac
+
+
+def _proportional_sums(params, w, tot):
+    return _proportional_prepare(w, tot)(params)
+
+
+def _freqdep_prepare(w, tot):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     tot = np.atleast_1d(np.asarray(tot, dtype=float))
     w_un = tot - w
-    out = np.zeros(np.broadcast(w, tot).shape)
-    saturated = (w > 0) & (w_un <= 0)
-    out[saturated] = s
+    # log(w_un / w): +inf without informed weight (rate 0), -inf when
+    # saturated (rate s)
+    log_ratio = np.full(np.broadcast(w, tot).shape, np.inf)
+    log_ratio[(w > 0) & (w_un <= 0)] = -np.inf
     mixed = (w > 0) & (w_un > 0)
-    if np.any(mixed):
-        # s / (1 + (w_un/w)^f), computed through expit to survive huge f
-        log_ratio = np.log(w_un[mixed]) - np.log(w[mixed])
-        out[mixed] = s * expit(-f * log_ratio)
-    return out
+    log_ratio[mixed] = np.log(w_un[mixed]) - np.log(w[mixed])
+    return functools.partial(_freqdep_rate, log_ratio)
+
+
+def _freqdep_rate(log_ratio, params):
+    # s / (1 + (w_un/w)^f), computed through expit to survive huge f
+    s, f = params
+    if f > 0:
+        return s * expit(-f * log_ratio)
+    # -0 * inf is nan: the infinite ratios keep their rates 0 and s
+    with np.errstate(invalid="ignore"):
+        return s * np.where(np.isinf(log_ratio), log_ratio < 0, expit(-f * log_ratio))
+
+
+def _freqdep_sums(params, w, tot):
+    return _freqdep_prepare(w, tot)(params)
 
 
 def _threshold_sums(params, w, tot, *, sharpness=None):
@@ -202,6 +244,7 @@ def proportional_rule() -> TransmissionRule:
         lower=(0.0,),
         upper=(np.inf,),
         sums_rate=_proportional_sums,
+        prepare=_proportional_prepare,
         size_param="s",
         default_start=(1.0,),
     )
@@ -216,6 +259,7 @@ def frequency_dependent_rule(f_lower: float = 0.2) -> TransmissionRule:
         lower=(0.0, f_lower),
         upper=(np.inf, np.inf),
         sums_rate=_freqdep_sums,
+        prepare=_freqdep_prepare,
         size_param="s",
         default_start=(1.0, 1.0),
     )
@@ -269,8 +313,9 @@ def custom_rule(
     """Wrap a user-supplied rate function as a rule usable everywhere.
 
     Provide ``sums_rate(params, w_informed, total)`` when the rate depends
-    on the connections only through those sums (enables the cached fast
-    path), else ``rate(params, connections, status)``.
+    on the connections only through those sums (the likelihood then
+    evaluates one rate per run of the event table), else
+    ``rate(params, connections, status)``.
     """
     names = tuple(param_names)
     k = len(names)

@@ -30,6 +30,7 @@ from contagionfit import (
     rule_from_name,
     simulate_diffusion,
 )
+from contagionfit.fit import nll_objective
 
 NLL_RTOL = 1e-10
 SATURATION_RTOL = 1e-12
@@ -137,6 +138,28 @@ def test_run_nll_matches_event_by_event_twin(diffusion, params):
         got = negative_log_likelihood(rule_from_name(kind), list(p), table)
         want = twin_nll(kind, p, w, order)
         assert got == pytest.approx(want, rel=NLL_RTOL, abs=NLL_RTOL), kind
+
+
+@PROPERTY_SETTINGS
+@given(diffusions(),
+       builtin_params(rate=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e6)),
+                      f=st.one_of(st.just(0.0), st.just(0.2), st.floats(0.2, 20.0),
+                                  st.floats(20.0, 1e6))))
+def test_prepared_run_rates_match_sums_rate(diffusion, params):
+    # the rates an objective prepares once equal sums_rate on the same runs
+    # (freqdep: and the formula on both weights, f = 0 included), and an
+    # objective's NLL equals negative_log_likelihood exactly
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    for kind, p in params.items():
+        rule = frequency_dependent_rule(f_lower=0.0) if kind == "freqdep" else rule_from_name(kind)
+        p = np.array(p, dtype=float)
+        got = rule.run_rates(table.run_w, table.run_total)(p)
+        assert np.array_equal(got, rule.sums_rate(p, table.run_w, table.run_total)), kind
+        if kind == "freqdep":
+            want = twin_rates(kind, p, table.run_w, table.run_total - table.run_w)
+            assert np.array_equal(got, want), p
+        assert nll_objective(rule, table)(p) == negative_log_likelihood(rule, p, table), kind
 
 
 @PROPERTY_SETTINGS

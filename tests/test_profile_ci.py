@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,37 @@ def test_profile_respects_fit_box(freqdep_fit):
         assert all(x <= upper[i] for x, _ in ci.profile_points)
     with pytest.raises(ValueError, match="outside bounds"):
         profile_nll(fit.table, fit.rule, 0, 1.01 * upper[0], fit=fit)
+
+
+def test_profile_of_f_pins_zero_in_a_box_reaching_it():
+    # under FitConfig(lower=(0, 0)) the lower f search pins f = 0 exactly, where
+    # -0 * inf would be nan: the rate there is s/2 for mixed runs, s for
+    # saturated runs and 0 without informed weight.  Recorded values.
+    net = generate_network(GeneratorConfig(
+        n=20, sparsity_threshold=0.5, multiplier_max=3.0, seed=18))
+    data, _ = simulate_diffusion(net, frequency_dependent_rule(), [5.0, 1.0], seed=118)
+    fit = fit_oada(data, frequency_dependent_rule(), FitConfig(lower=(0.0, 0.0)))
+    ci = profile_ci(fit, 1)
+    assert dict(ci.profile_points)[0.0] == pytest.approx(42.46695246281445, rel=1e-12)
+    assert (ci.lower, ci.upper) == pytest.approx(
+        (0.10167111785832861, 47.71685735821271), rel=1e-12)
+
+
+def test_fit_and_profile_prepare_the_rule_once(freqdep_fit):
+    # the parameter-free run pieces are built once per objective, not once
+    # per NLL evaluation
+    calls = []
+    prepare = frequency_dependent_rule().prepare
+
+    def counting(w, tot):
+        calls.append(w.size)
+        return prepare(w, tot)
+
+    rule = replace(frequency_dependent_rule(), prepare=counting)
+    fit = fit_oada(freqdep_fit.table, rule)
+    assert len(calls) == 1 < fit.n_evals
+    ci = profile_ci(fit, 1)
+    assert len(calls) == 2 < len(ci.profile_points)
 
 
 def test_profile_ci_rejects_bad_index(freqdep_fit):
