@@ -489,9 +489,12 @@ def _add_rule_opts(p: argparse.ArgumentParser, many: bool = False) -> None:
 
 def _add_fit_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=8,
-                   help="jittered Nelder-Mead restarts (rules with two or more parameters)")
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--max-evals", type=int, default=20000)
+                   help="jittered restarts of the BFGS (freqdep) or Nelder-Mead search "
+                        "(rules with two or more parameters)")
+    p.add_argument("--tolerance", type=float, default=1e-8,
+                   help="Nelder-Mead function tolerance (not used by freqdep's BFGS)")
+    p.add_argument("--max-evals", type=int, default=20000,
+                   help="Nelder-Mead evaluations per start (not used by freqdep's BFGS)")
     p.add_argument("--seed", type=int, default=0,
                    help="restart jitter seed (rules with two or more parameters)")
 

@@ -409,7 +409,7 @@ def calibrate_ci(
     cutoff = calibrated_cutoff(lr_stats)
     unadjusted = profile_ci(fit, param_index, config=prof_cfg)
     adjusted = profile_ci(fit, param_index, cutoff=cutoff, config=prof_cfg)
-    # containment guarantee: bisection noise must never shrink the interval
+    # containment guarantee: endpoint tolerance must never shrink the interval
     merged_lower = min(adjusted.lower, unadjusted.lower)
     merged_upper = max(adjusted.upper, unadjusted.upper)
     adjusted = replace(

@@ -10,9 +10,12 @@ coordinates picks the method:
 - one (simple, proportional, the nuisance of a two-parameter profile): a
   fixed scan of 11 points over +-10 internal units around the start, stepped
   outward while the best point is at the edge, then a bounded Brent polish;
-- two or more: derivative-free Nelder-Mead from the start plus ``restarts``
-  jittered restarts; the best end point wins, with ties broken toward the
-  earlier start so results are reproducible.
+- two or more: a local search from the start plus ``restarts`` jittered
+  restarts; the best end point wins, with ties broken toward the earlier
+  start so results are reproducible.  The search is BFGS when the objective
+  carries its gradient (the built-in freqdep rule: the adjoint of the
+  run-based NLL times the rates' Jacobian, see `nll_objective`), else
+  derivative-free Nelder-Mead (threshold, custom and ``full_rate`` rules).
 
 Standard errors come from a central finite-difference Hessian of the NLL at
 the MLE and are reported only when that Hessian is positive definite and no
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
-from .oada import DiffusionData, EventTable, _nll, aicc, build_event_table
+from .oada import DiffusionData, EventTable, _nll, _nll_and_gradient, aicc, build_event_table
 from .rules import TransmissionRule
 
 __all__ = [
@@ -59,9 +62,10 @@ POLISH_XATOL = 1e-5
 # finite-difference Hessian step: relative to each coordinate, with a floor
 HESSIAN_REL_STEP = 1e-4
 HESSIAN_ABS_FLOOR = 1e-6
-# what Nelder-Mead sees for +inf: scipy's convergence test reads an all-inf
-# simplex's spread inf - inf as nan and never stops, while an equal finite
-# stand-in lets the shrinking simplex meet xatol; every comparison is kept
+# what the local searches see for +inf: scipy's Nelder-Mead convergence test
+# reads an all-inf simplex's spread inf - inf as nan and never stops, while
+# an equal finite stand-in lets the shrinking simplex meet xatol; every
+# comparison is kept, and BFGS's line search backs off from it
 _NM_INF = sys.float_info.max
 _SCAN_OFFSETS = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
 
@@ -71,13 +75,15 @@ class FitConfig:
     """Optimizer settings.
 
     ``start``/``lower``/``upper`` default to the rule's own values; for a
-    one-parameter rule ``start`` is the centre of the scan.  ``restarts``,
-    ``tolerance``, ``max_evals`` and ``seed`` set the Nelder-Mead multistart
-    and so act only on rules with two or more parameters.  The jitter
-    applied to restarts is multiplicative U[0.25, 4] on the distance from
-    one-sided bounds (additive in the transformed space) and is drawn from a
-    generator seeded by ``seed``, so a fit is a pure function of (data,
-    rule, config).
+    one-parameter rule ``start`` is the centre of the scan.  ``restarts``
+    and ``seed`` set the multistart and so act only on rules with two or
+    more parameters: BFGS for the freqdep rule, Nelder-Mead for the others.
+    ``tolerance`` and ``max_evals`` act on Nelder-Mead only; BFGS stops at
+    scipy's gradient tolerance.  The jitter applied to restarts is
+    multiplicative U[0.25, 4] on the distance from one-sided bounds
+    (additive in the transformed space) and is drawn from a generator
+    seeded by ``seed``, so a fit is a pure function of (data, rule,
+    config).
     """
 
     start: tuple[float, ...] | None = None
@@ -207,6 +213,21 @@ class BoxTransform:
                 x[i] = lo + (hi - lo) * expit(z[i])
         return x
 
+    def dx_dz(self, z) -> np.ndarray:
+        """Derivative of `to_external` at ``z``, per coordinate."""
+        z = np.asarray(z, dtype=float)
+        d = np.empty_like(z)
+        for i, kind in enumerate(self.kinds):
+            if kind == self._FREE:
+                d[i] = 1.0
+            elif kind in (self._LOWER, self._UPPER):
+                slope = math.exp(z[i]) if z[i] < 700.0 else 0.0
+                d[i] = slope if kind == self._LOWER else -slope
+            else:
+                p = expit(z[i])
+                d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p)
+        return d
+
     def nudge_inside(self, x) -> np.ndarray:
         """Move points sitting on (or outside) a bound strictly inside."""
         x = np.asarray(x, dtype=float).copy()
@@ -229,11 +250,15 @@ class MultistartResult:
     n_evals: int
 
 
+# what an objective may raise at a point where its rates are invalid
+_OBJECTIVE_ERRORS = (ValueError, FloatingPointError, OverflowError, ZeroDivisionError)
+
+
 def _safe(objective: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
     def wrapped(x):
         try:
             v = float(objective(x))
-        except (ValueError, FloatingPointError, OverflowError, ZeroDivisionError):
+        except _OBJECTIVE_ERRORS:
             return math.inf
         return v if not math.isnan(v) else math.inf
     return wrapped
@@ -256,8 +281,12 @@ def minimize_multistart(
     evaluated once.  With one, `_scan_and_polish` scans a grid around
     ``centre`` (default ``start``) plus ``start`` itself and polishes the
     best point; ``restarts``, ``tolerance``, ``max_evals`` and ``seed`` are
-    not used.  With two or more, Nelder-Mead runs from ``start`` plus
-    ``restarts`` jittered restarts, all on the transformed space.
+    not used.  With two or more, a local search runs from ``start`` plus
+    ``restarts`` jittered restarts, all on the transformed space: BFGS when
+    ``objective`` carries ``value_and_grad`` (params -> (value, gradient),
+    as `nll_objective` gives for the freqdep rule), else Nelder-Mead, which
+    alone uses ``tolerance`` and ``max_evals``.  ``n_evals`` counts
+    objective evaluations, a value-and-gradient evaluation as one.
 
     The answer never has a higher objective than the start point, which is
     kept when a run goes astray or none finds a finite value; the winner is
@@ -281,32 +310,73 @@ def minimize_multistart(
         jitter = np.log(rng.uniform(0.25, 4.0, size=(restarts, k)))
         z_starts.extend(z0 + jitter[r] for r in range(restarts))
 
+    value_and_grad = getattr(objective, "value_and_grad", None)
     best_x, best_f, best_ok = transform.to_external(z0), math.inf, False
     total_evals = 0
     for z_init in z_starts:
-        f_init = obj(transform.to_external(z_init))
-        total_evals += 1
-        simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
-        res = minimize(
-            lambda z: min(obj(transform.to_external(z)), _NM_INF),
-            z_init,
-            method="Nelder-Mead",
-            options={
-                "fatol": tolerance,
-                "xatol": 1e-6,
-                "maxfev": max_evals,
-                "initial_simplex": simplex,
-            },
-        )
-        total_evals += res.nfev
-        cand_x = transform.to_external(res.x)
-        cand_f = float(res.fun) if res.fun < _NM_INF else math.inf
-        cand_ok = bool(res.success)
+        if value_and_grad is None:
+            f_init, z_end, f_end, cand_ok, n_evals = _nelder_mead(
+                obj, transform, z_init, tolerance, max_evals)
+        else:
+            f_init, z_end, f_end, cand_ok, n_evals = _bfgs(value_and_grad, transform, z_init)
+        total_evals += n_evals
+        cand_x = transform.to_external(z_end)
+        cand_f = f_end if f_end < _NM_INF else math.inf
         if cand_f > f_init:  # keep the monotone-improvement guarantee
             cand_x, cand_f, cand_ok = transform.to_external(z_init), f_init, False
         if cand_f < best_f:
             best_x, best_f, best_ok = cand_x, cand_f, cand_ok
     return MultistartResult(best_x, best_f, best_ok, total_evals)
+
+
+def _nelder_mead(obj, transform: BoxTransform, z_init, tolerance: float, max_evals: int):
+    """One Nelder-Mead run from ``z_init``: (value at ``z_init``, end point,
+    its value (`_NM_INF` for +inf), success, evaluations)."""
+    f_init = obj(transform.to_external(z_init))
+    k = z_init.size
+    simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
+    res = minimize(
+        lambda z: min(obj(transform.to_external(z)), _NM_INF),
+        z_init,
+        method="Nelder-Mead",
+        options={
+            "fatol": tolerance,
+            "xatol": 1e-6,
+            "maxfev": max_evals,
+            "initial_simplex": simplex,
+        },
+    )
+    return f_init, res.x, float(res.fun), bool(res.success), res.nfev + 1
+
+
+def _bfgs(value_and_grad, transform: BoxTransform, z_init):
+    """One BFGS run from ``z_init`` on the gradient chained through the
+    transform; returns what `_nelder_mead` does.  A point where the
+    objective is not finite reads `_NM_INF` with a zero gradient, so the
+    line search backs off from it."""
+    n_evals = 0
+
+    def value_grad_z(z):
+        nonlocal n_evals
+        n_evals += 1
+        try:
+            f, g = value_and_grad(transform.to_external(z))
+            f = float(f)
+        except _OBJECTIVE_ERRORS:
+            f = math.inf
+        if not f < math.inf:  # +inf or nan
+            return _NM_INF, np.zeros_like(z)
+        return f, np.asarray(g, dtype=float) * transform.dx_dz(z)
+
+    at_start = value_grad_z(z_init)
+    res = minimize(
+        lambda z: at_start if np.array_equal(z, z_init) else value_grad_z(z),
+        z_init,
+        jac=True,
+        method="BFGS",
+    )
+    f_init = at_start[0] if at_start[0] < _NM_INF else math.inf
+    return f_init, res.x, float(res.fun), bool(res.success), n_evals
 
 
 def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: float):
@@ -358,9 +428,18 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
     """NLL as a plain params -> float callable (no bounds checks; an invalid
     rate raises ValueError).  The rule's parameter-free run pieces are
-    prepared here, once, and shared by every evaluation."""
+    prepared here, once, and shared by every evaluation.  When the prepared
+    rates have a ``jacobian`` (the built-in freqdep rule), the callable also
+    carries ``value_and_grad``: params -> (NLL, its gradient)."""
     run_rates = rule.run_rates(table.run_w, table.run_total)
-    return lambda p: _nll(rule, np.asarray(p, dtype=float), table, run_rates)
+
+    def objective(p):
+        return _nll(rule, np.asarray(p, dtype=float), table, run_rates)
+
+    if hasattr(run_rates, "jacobian"):
+        objective.value_and_grad = lambda p: _nll_and_gradient(
+            rule, np.asarray(p, dtype=float), table, run_rates)
+    return objective
 
 
 def hessian_standard_errors(
@@ -452,7 +531,8 @@ def fit_oada(
     Accepts a `DiffusionData` or a prebuilt `EventTable`.  Deterministic for
     fixed inputs and config.  ``n_evals`` counts every NLL evaluation: the
     one of a rule with no free parameters, scan plus polish for one
-    parameter, all starts for more.  Raises ValueError when no point the
+    parameter, all starts for more, where a BFGS evaluation of the NLL and
+    its gradient counts as one.  Raises ValueError when no point the
     search visited gives a finite NLL (the rule's rate is invalid there).
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)

@@ -6,9 +6,10 @@ is the strength of the connection *from j to i*, i.e. how strongly individual
 influence ``i``.  All indices in this package are 0-based; file formats and
 the command line use 1-based labels (see `load_network_csv` / the CLI docs).
 
-Networks are immutable once constructed: the weight array is copied and
-marked read-only, so one network can safely be shared across fits, simulator
-runs and worker processes.
+Networks are immutable once constructed: the weight array is copied (the
+CSV loader hands over the one array it parsed into) and marked read-only, so
+one network can safely be shared across fits, simulator runs and worker
+processes.
 """
 
 from __future__ import annotations
@@ -51,14 +52,16 @@ class Network:
     label: str = ""
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weights must be square, got shape {w.shape}")
-        if w.shape[0] < 2:
-            raise ValueError("a network needs at least 2 individuals")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen_square(np.array(self.weights, dtype=float)))
+
+    @classmethod
+    def _adopt(cls, weights: np.ndarray, label: str) -> "Network":
+        """A network holding ``weights`` itself, not a copy: for a float
+        array that nothing else references, such as a freshly parsed file."""
+        net = cls.__new__(cls)
+        object.__setattr__(net, "weights", _frozen_square(weights))
+        object.__setattr__(net, "label", label)
+        return net
 
     @property
     def n(self) -> int:
@@ -73,6 +76,16 @@ class Network:
 
     def __hash__(self):
         return hash((self.weights.shape, self.weights.tobytes()))
+
+
+def _frozen_square(w: np.ndarray) -> np.ndarray:
+    """``w``, marked read-only, after checking it is square with n >= 2."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"weights must be square, got shape {w.shape}")
+    if w.shape[0] < 2:
+        raise ValueError("a network needs at least 2 individuals")
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,8 @@ def load_network_csv(path: str, header: bool = False) -> Network:
         Naming the offending line for ragged rows, non-numeric cells, or a
         non-square result.
     """
-    rows: list[np.ndarray] = []
+    weights = None  # allocated from the first row's width
+    n_rows = 0
     with open(path, newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if header and line_no == 1:
@@ -215,19 +229,23 @@ def load_network_csv(path: str, header: bool = False) -> Network:
                 values = _rescan_row(line, line_no, path)
                 if values is None:
                     continue
-            if rows and values.size != rows[0].size:
+            if weights is None:
+                weights = np.empty((values.size, values.size))
+            elif values.size != weights.shape[1]:
                 raise NetworkFormatError(
                     f"{path}, line {line_no}: row has {values.size} entries, "
-                    f"expected {rows[0].size}"
+                    f"expected {weights.shape[1]}"
                 )
-            rows.append(values)
-    if not rows:
+            if n_rows < weights.shape[0]:  # extra rows are only counted
+                weights[n_rows] = values
+            n_rows += 1
+    if weights is None:
         raise NetworkFormatError(f"{path}: no data rows")
-    if len(rows) != rows[0].size:
+    if n_rows != weights.shape[1]:
         raise NetworkFormatError(
-            f"{path}: matrix is {len(rows)}x{rows[0].size}, expected square"
+            f"{path}: matrix is {n_rows}x{weights.shape[1]}, expected square"
         )
-    return Network(np.vstack(rows), label=path)
+    return Network._adopt(weights, label=path)
 
 
 def write_network_csv(network: Network, path: str) -> None:

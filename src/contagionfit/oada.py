@@ -30,6 +30,9 @@ D is the number of events and runs <= n + the number of edges whose source
 acquires before its target: about 11 000 runs for n = 1000 at 2 % density,
 against the 500 500 (event, naive individual) slots of a complete
 diffusion.  Rules with only ``full_rate`` walk the events one by one.
+When the prepared rates have a Jacobian (freqdep), the same pass also
+gives the NLL's gradient in the rates, the adjoint of the prefix sum, at
+O(runs + D) more, and fits use it (`fit.nll_objective`).
 """
 
 from __future__ import annotations
@@ -289,11 +292,15 @@ def build_event_table(data: DiffusionData) -> EventTable:
     return EventTable(data=data, **arrays)
 
 
-def _nll_from_rates(t: np.ndarray, table: EventTable) -> float:
-    """NLL from one social rate per run.
+def _nll_from_rates(t: np.ndarray, table: EventTable, adjoint: bool = False):
+    """NLL from one social rate per run; with ``adjoint``, also its
+    gradient in the rates, ``(nll, dnll/dt)``.
 
     Returns +inf instead of nan when rates overflow, so optimizers always
-    see an ordered objective.
+    see an ordered objective.  The gradient is the adjoint of the prefix
+    sum: run r is present at events ``run_start[r] <= k < run_end[r]``, so
+    it gets the sum of ``1/denom_k`` over those events, less
+    ``1/(1 + t_r)`` if its individual acquires at the run's last event.
     """
     first, replaced, groups, empty = table._flow_index
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -308,7 +315,15 @@ def _nll_from_rates(t: np.ndarray, table: EventTable) -> float:
         flow[1:] -= t_acq[:-1]
         denom = table.n_naive + np.cumsum(flow)
         val = float(np.log(denom).sum() - np.log1p(t_acq).sum())
-    return val if math.isfinite(val) else math.inf
+        if not math.isfinite(val):
+            val = math.inf
+        if not adjoint:
+            return val
+        inv_cumsum = np.zeros(denom.size + 1)
+        np.cumsum(1.0 / denom, out=inv_cumsum[1:])
+        grad = inv_cumsum[table.run_end] - inv_cumsum[table.run_start]
+        grad[table.acquirer_run] -= 1.0 / (1.0 + t_acq)
+    return val, grad
 
 
 def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
@@ -331,6 +346,16 @@ def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable, run_rate
     if run_rates is None:
         return _nll_generic(rule, params, table)
     return _nll_from_rates(_check_rates(rule, run_rates(params)), table)
+
+
+def _nll_and_gradient(rule: TransmissionRule, params: np.ndarray, table: EventTable,
+                      run_rates) -> tuple[float, np.ndarray]:
+    """NLL and its gradient in the parameters, for a rule whose prepared
+    ``run_rates`` has a ``jacobian``: the rates' adjoint times their
+    Jacobian.  The NLL is the one `_nll` returns, and every rate is checked."""
+    t, jac = run_rates.jacobian(params)
+    val, adjoint = _nll_from_rates(_check_rates(rule, t), table, adjoint=True)
+    return val, adjoint @ jac
 
 
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:

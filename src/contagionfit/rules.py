@@ -16,8 +16,10 @@ one table's fixed sums many times, so it asks the rule once per objective
 for ``params -> rates`` on those sums (`TransmissionRule.run_rates`): the
 freqdep and proportional rules ``prepare`` their parameter-free pieces
 there (a log ratio, an informed fraction), and every other rule, custom
-rules included, goes through ``sums_rate``.  Custom rules may instead
-supply a plain per-individual ``full_rate(params, a_i, z)``.
+rules included, goes through ``sums_rate``.  The freqdep rule's prepared
+rates also give their Jacobian in (s, f), from the same log ratio, for
+gradient fits.  Custom rules may instead supply a plain per-individual
+``full_rate(params, a_i, z)``.
 
 Built-ins
 ---------
@@ -83,7 +85,9 @@ class TransmissionRule:
     prepare : optional ``(w_informed, total) -> (params -> rates)`` that
         computes the parameter-free pieces of ``sums_rate`` once for fixed
         sums, giving the same rates; `run_rates` falls back to
-        ``sums_rate`` without it
+        ``sums_rate`` without it.  The callable may also have a method
+        ``jacobian(params) -> (rates, (R, k) derivatives in the params)``,
+        which gives fits a gradient (the built-in freqdep rule's has)
     full_rate : general evaluator used when no fast path exists
     size_param : name of the parameter that switches social learning off at
         0; other parameters are non-identifiable when it is truly 0
@@ -182,17 +186,40 @@ def _freqdep_prepare(w, tot):
     log_ratio[(w > 0) & (w_un <= 0)] = -np.inf
     mixed = (w > 0) & (w_un > 0)
     log_ratio[mixed] = np.log(w_un[mixed]) - np.log(w[mixed])
-    return functools.partial(_freqdep_rate, log_ratio)
+    return _FreqdepRates(log_ratio)
 
 
-def _freqdep_rate(log_ratio, params):
-    # s / (1 + (w_un/w)^f), computed through expit to survive huge f
-    s, f = params
-    if f > 0:
-        return s * expit(-f * log_ratio)
-    # -0 * inf is nan: the infinite ratios keep their rates 0 and s
-    with np.errstate(invalid="ignore"):
-        return s * np.where(np.isinf(log_ratio), log_ratio < 0, expit(-f * log_ratio))
+class _FreqdepRates:
+    """Freqdep rates on fixed sums, from their prepared log ratio; also
+    their Jacobian in (s, f), which gradient fits use."""
+
+    def __init__(self, log_ratio):
+        self.log_ratio = log_ratio
+
+    @functools.cached_property
+    def _finite_ratio(self):
+        # the f-derivative is 0 where the ratio is infinite (rate 0 or s)
+        return np.where(np.isfinite(self.log_ratio), self.log_ratio, 0.0)
+
+    def _share(self, f):
+        # 1 / (1 + (w_un/w)^f), computed through expit to survive huge f
+        if f > 0:
+            return expit(-f * self.log_ratio)
+        # -0 * inf is nan: the infinite ratios keep their shares 0 and 1
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(self.log_ratio), self.log_ratio < 0,
+                            expit(-f * self.log_ratio))
+
+    def __call__(self, params):
+        s, f = params
+        return s * self._share(f)
+
+    def jacobian(self, params):
+        """(rates, (R, 2) array of their derivatives in s and f)."""
+        s, f = params
+        share = self._share(f)
+        d_f = -s * self._finite_ratio * share * (1.0 - share)
+        return s * share, np.stack((share, d_f), axis=1)
 
 
 def _freqdep_sums(params, w, tot):

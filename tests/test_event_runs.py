@@ -33,6 +33,10 @@ from contagionfit import (
 from contagionfit.fit import nll_objective
 
 NLL_RTOL = 1e-10
+# central differences of the twin NLL: relative step, and agreement
+GRAD_STEP = 1e-6
+GRAD_RTOL = 1e-5
+GRAD_ATOL = 1e-7
 SATURATION_RTOL = 1e-12
 PROB_SUM_TOL = 1e-10
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -160,6 +164,28 @@ def test_prepared_run_rates_match_sums_rate(diffusion, params):
             want = twin_rates(kind, p, table.run_w, table.run_total - table.run_w)
             assert np.array_equal(got, want), p
         assert nll_objective(rule, table)(p) == negative_log_likelihood(rule, p, table), kind
+
+
+@PROPERTY_SETTINGS
+@given(diffusions(),
+       st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e3)),
+       st.one_of(st.just(0.2), st.floats(0.2, 20.0), st.floats(20.0, 1e6)))
+def test_freqdep_gradient_matches_central_differences(diffusion, s, f):
+    # the objective's gradient (the prefix sum's adjoint times the rates'
+    # Jacobian) against central differences of the event-by-event twin,
+    # which also takes s < 0; its value is the plain NLL, bit for bit
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    rule = frequency_dependent_rule()
+    value, grad = nll_objective(rule, table).value_and_grad(np.array([s, f]))
+    assert value == negative_log_likelihood(rule, [s, f], table)
+    for i, x in enumerate((s, f)):
+        h = GRAD_STEP * max(1.0, x)
+        up, down = [s, f], [s, f]
+        up[i] += h
+        down[i] -= h
+        central = (twin_nll("freqdep", up, w, order) - twin_nll("freqdep", down, w, order)) / (2 * h)
+        assert grad[i] == pytest.approx(central, rel=GRAD_RTOL, abs=GRAD_ATOL), i
 
 
 @PROPERTY_SETTINGS

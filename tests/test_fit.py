@@ -169,6 +169,30 @@ def test_multistart_keeps_start_when_no_run_is_finite():
     assert np.allclose(res.x, [2.0, 3.0])
 
 
+def test_gradient_multistart_backs_off_where_the_objective_raises():
+    # BFGS runs when the objective carries value_and_grad; past x0 = 4 the
+    # objective raises, which the line search must treat as +inf
+    m = np.array([3.0, 0.5])
+
+    def objective(x):
+        if x[0] > 4.0:
+            raise ValueError("invalid rate")
+        return float((x - m) @ (x - m))
+
+    objective.value_and_grad = lambda x: (objective(x), 2.0 * (x - m))
+    res = minimize_multistart(objective, start=[1.0, 1.0], lower=[0.0, 0.0],
+                              upper=[np.inf, np.inf], seed=1)
+    assert res.converged
+    assert np.allclose(res.x, m, atol=1e-6)
+    assert res.n_evals < 200  # Nelder-Mead spends about 900 here
+    # and with no finite value anywhere the start is kept, as Nelder-Mead does
+    objective.value_and_grad = lambda x: (math.inf, np.zeros(2))
+    res = minimize_multistart(objective, start=[2.0, 3.0], lower=[0.0, 0.0],
+                              upper=[np.inf, np.inf], restarts=2)
+    assert res.fun == math.inf and not res.converged
+    assert np.allclose(res.x, [2.0, 3.0])
+
+
 @pytest.mark.parametrize("rate", ["sums_rate", "full_rate"])
 def test_two_parameter_fit_without_finite_likelihood_raises(toy_data, rate, monkeypatch):
     # the rate is negative at every point of the box.  With the default

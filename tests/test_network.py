@@ -167,6 +167,7 @@ def test_csv_round_trip(tmp_path, toy_network):
     write_network_csv(toy_network, str(path))
     back = load_network_csv(str(path))
     assert np.array_equal(back.weights, toy_network.weights)
+    assert not back.weights.flags.writeable
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -212,6 +213,10 @@ def test_csv_non_square(tmp_path):
     path = tmp_path / "net.csv"
     path.write_text("0,1,2\n3,0,4\n")
     with pytest.raises(NetworkFormatError, match="square"):
+        load_network_csv(str(path))
+    # rows past the first row's width are counted, not stored
+    path.write_text("0,1\n2,0\n3,4\n")
+    with pytest.raises(NetworkFormatError, match="matrix is 3x2, expected square"):
         load_network_csv(str(path))
 
 

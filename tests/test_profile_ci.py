@@ -128,6 +128,22 @@ def test_lower_nll_than_fit_is_reported():
     assert profile_interval(pnll, 1.0, 0.0).diagnostics == ()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_profile_counts_as_outside(bad):
+    # quadratic up to x = 1, inside the cutoff there, and nan or inf past it:
+    # the upper endpoint is the edge of the finite part.  Every pin is
+    # evaluated once; the root search reuses its bracket's values.
+    def pnll(x):
+        return quad_pnll(0.0, 2.0)(x) if x <= 1.0 else bad
+
+    ci = profile_interval(pnll, 0.0, 0.0)
+    assert not ci.upper_open
+    assert ci.upper == pytest.approx(1.0, abs=QUAD_ENDPOINT_TOL)
+    assert ci.lower == pytest.approx(quad_endpoints(0.0, 2.0)[0], abs=QUAD_ENDPOINT_TOL)
+    pins = [x for x, _ in ci.profile_points]
+    assert len(set(pins)) == len(pins)
+
+
 def test_mle_always_inside():
     for m, h in [(0.0, 5.0), (42.0, 0.01)]:
         ci = profile_interval(quad_pnll(m, h), m, 0.0)
@@ -255,7 +271,8 @@ def test_profile_respects_fit_box(freqdep_fit):
 def test_profile_of_f_pins_zero_in_a_box_reaching_it():
     # under FitConfig(lower=(0, 0)) the lower f search pins f = 0 exactly, where
     # -0 * inf would be nan: the rate there is s/2 for mixed runs, s for
-    # saturated runs and 0 without informed weight.  Recorded values.
+    # saturated runs and 0 without informed weight.  Recorded values; the
+    # endpoints are also checked against the dense-grid profile.
     net = generate_network(GeneratorConfig(
         n=20, sparsity_threshold=0.5, multiplier_max=3.0, seed=18))
     data, _ = simulate_diffusion(net, frequency_dependent_rule(), [5.0, 1.0], seed=118)
@@ -263,7 +280,10 @@ def test_profile_of_f_pins_zero_in_a_box_reaching_it():
     ci = profile_ci(fit, 1)
     assert dict(ci.profile_points)[0.0] == pytest.approx(42.46695246281445, rel=1e-12)
     assert (ci.lower, ci.upper) == pytest.approx(
-        (0.10167111785832861, 47.71685735821271), rel=1e-12)
+        (0.10168157102417165, 47.71792737591923), rel=1e-12)
+    for endpoint in (ci.lower, ci.upper):
+        at_endpoint = dense_profile(fit.table, frequency_dependent_rule(f_lower=0.0), 1, endpoint)
+        assert at_endpoint == pytest.approx(fit.nll + ci.cutoff, abs=DENSE_PROFILE_TOL)
 
 
 def test_fit_and_profile_prepare_the_rule_once(freqdep_fit):
@@ -346,6 +366,29 @@ def coverage_cell_fit(k):
         n=100, sparsity_threshold=0.7, multiplier_max=3.0, seed=1000 + k))
     data, _ = simulate_diffusion(net, rule, [10.0, 3.0], seed=2000 + k)
     return fit_oada(data, rule)
+
+
+def test_fit_finds_the_far_basin_of_pair_1010():
+    # the NLL has a basin near f = 3.35 (363.534) and a lower one at
+    # f ~ 2e4 (362.691) that Nelder-Mead multistart missed
+    assert coverage_cell_fit(10).nll <= 362.70
+
+
+# evaluation counts do not depend on the hardware: on the coverage panel
+# (k < 5) the gradient fits took 107-129 evaluations each, against 903-1019
+# for Nelder-Mead, and the ten intervals 252 profile points in all, against
+# 382 with bisection
+PANEL_EVALS_PER_FIT = 200
+PANEL_PROFILE_POINTS = 300
+
+
+def test_coverage_panel_evaluation_counts():
+    points = 0
+    for k in range(5):
+        fit = coverage_cell_fit(k)
+        assert fit.n_evals < PANEL_EVALS_PER_FIT, k
+        points += sum(len(profile_ci(fit, i).profile_points) for i in range(2))
+    assert points < PANEL_PROFILE_POINTS
 
 
 @pytest.mark.parametrize("k, index", [
