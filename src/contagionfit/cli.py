@@ -42,7 +42,7 @@ from .oada import (
     parse_order_text,
     write_order_file,
 )
-from .profile_ci import ProfileConfig, profile_ci
+from .profile_ci import DEFAULT_CUTOFF, ProfileConfig, profile_ci
 from .rules import rule_from_name
 from .simulate import simulate_diffusion, write_trace_csv
 
@@ -488,14 +488,14 @@ def _add_rule_opts(p: argparse.ArgumentParser, many: bool = False) -> None:
 
 
 def _add_fit_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=8,
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts,
                    help="jittered restarts of the BFGS (freqdep) or Nelder-Mead search "
                         "(rules with two or more parameters)")
-    p.add_argument("--tolerance", type=float, default=1e-8,
+    p.add_argument("--tolerance", type=float, default=FitConfig.tolerance,
                    help="Nelder-Mead function tolerance (not used by freqdep's BFGS)")
-    p.add_argument("--max-evals", type=int, default=20000,
+    p.add_argument("--max-evals", type=int, default=FitConfig.max_evals,
                    help="Nelder-Mead evaluations per start (not used by freqdep's BFGS)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=FitConfig.seed,
                    help="restart jitter seed (rules with two or more parameters)")
 
 
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--upper", help="comma-separated upper bounds")
     _add_fit_opts(p_fit)
     p_fit.add_argument("--ci", action="store_true", help="add profile CIs to the report")
-    p_fit.add_argument("--cutoff", type=float, default=1.92)
+    p_fit.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     p_fit.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p_fit.add_argument("--out", help="write the JSON report to a file")
     p_fit.add_argument("--label")

@@ -269,10 +269,10 @@ def minimize_multistart(
     start,
     lower,
     upper,
-    restarts: int = 8,
-    tolerance: float = 1e-8,
-    max_evals: int = 20000,
-    seed: int | Sequence[int] | np.random.SeedSequence = 0,
+    restarts: int = FitConfig.restarts,
+    tolerance: float = FitConfig.tolerance,
+    max_evals: int = FitConfig.max_evals,
+    seed: int | Sequence[int] | np.random.SeedSequence = FitConfig.seed,
     centre=None,
 ) -> MultistartResult:
     """Minimize ``objective`` over the box [``lower``, ``upper``] from ``start``.

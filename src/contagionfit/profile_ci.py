@@ -7,15 +7,15 @@ with one degree of freedom, giving asymptotic 95% intervals; `experiments`
 can replace it with a bootstrap-calibrated value.
 
 Endpoint search: geometric bracket expansion away from the MLE (factor 2,
-initial offset 10% of |MLE| with a 1e-3 floor), then Brent's method for the
-crossing between the last pin inside and the first pin outside, reusing
-their values.  It stops once the bracket is narrower than
-``rel_tol / 4 * (1 + |estimate|)``: relative to the estimate, not to the
-bracket, which for a runaway MLE spans many orders of magnitude.  A profile
-value that is nan counts as outside.  A side that reaches the fit's box
-bound while still inside the region is truncated there and flagged
-``at_*_bound``; a side that reaches the search ceiling (1e6 x max(1, |MLE|))
-without crossing is reported as *open*.  If the scan sees several sign
+initial offset 10% of |MLE| with a 1e-3 floor), then scipy's `brentq` for
+the crossing between the last pin inside and the first pin outside,
+started from the values already known there.  It stops once the bracket is
+narrower than ``rel_tol / 4 * (1 + |estimate|)``: relative to the
+estimate, not to the bracket, which for a runaway MLE spans many orders of
+magnitude.  A profile value that is nan counts as +inf, so outside.  A side
+that reaches the fit's box bound while still inside the region is
+truncated there and flagged ``at_*_bound``; a side that reaches the search
+ceiling (1e6 x max(1, |MLE|)) without crossing is reported as *open*.  If the scan sees several sign
 changes (a non-monotone profile), the outermost crossing wins and a
 diagnostic records it.
 
@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .fit import FitResult, minimize_multistart, nll_objective
 from .oada import DiffusionData, EventTable, build_event_table
@@ -57,6 +58,7 @@ FIRST_OFFSET_FLOOR = 1e-3
 BRACKET_FACTOR = 2.0
 CEILING_SCALE = 1e6
 INNER_TOLERANCE = 1e-8
+BRENTQ_MIN_RTOL = 4 * np.finfo(float).eps  # scipy's brentq refuses a smaller rtol
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,8 @@ class ProfileCI:
     ``at_lower_bound``/``at_upper_bound`` mean the region is truncated at
     the parameter's box bound (the bound itself is included).
     ``profile_points`` records every (value, profile NLL) the search
-    evaluated, for plotting and debugging.
+    evaluated, for plotting and debugging; a nan profile value is recorded
+    as +inf.
     """
 
     param_index: int
@@ -230,7 +233,13 @@ def _search_side(
     cfg: ProfileConfig,
     diagnostics: list[str],
 ):
-    """Find one interval endpoint.  Returns (endpoint, open_flag, at_bound)."""
+    """Find one interval endpoint.  Returns (endpoint, open_flag, at_bound).
+
+    ``pnll`` never returns nan (`profile_interval` records nan as +inf).
+    Geometric bracket scan away from the MLE, then scipy's `brentq` between
+    the last pin inside and the first pin outside, started from their known
+    values so that no pin is evaluated twice.
+    """
     target = nll_min + cfg.cutoff
     ceiling_span = CEILING_SCALE * max(1.0, abs(mle))
     limit = mle + direction * ceiling_span
@@ -276,70 +285,17 @@ def _search_side(
             return limit, False, True  # truncated at the box bound
         return limit, True, False  # open: ceiling reached inside the region
 
+    # the scan's last pin is outside, so the pin after the last one inside is
+    # outside too
     last_in = max(i for i, ok in enumerate(inside) if ok)
-    first_out_after = next(i for i in range(last_in + 1, len(xs)) if not inside[i])
-
-    def excess(f):
-        # nan is outside, as the bracket scan's `<=` has it
-        return math.inf if math.isnan(f) else f - target
-
-    endpoint = _brent_root(
-        lambda x: excess(pnll(x)),
-        xs[last_in], excess(fs[last_in]),
-        xs[first_out_after], excess(fs[first_out_after]),
-        cfg.rel_tol / 4.0,
+    a, b = xs[last_in], xs[last_in + 1]
+    known = {a: fs[last_in], b: fs[last_in + 1]}
+    endpoint = brentq(
+        lambda x: (known[x] if x in known else pnll(x)) - target,
+        a, b,
+        xtol=cfg.rel_tol / 4.0, rtol=max(cfg.rel_tol / 4.0, BRENTQ_MIN_RTOL),
     )
     return endpoint, False, False
-
-
-def _brent_root(g, a: float, ga: float, b: float, gb: float, rtol: float) -> float:
-    """Brent's method for a sign change of ``g`` between ``a`` (``g <= 0``)
-    and ``b`` (``g > 0``, possibly +inf), from the values already known
-    there, which are not recomputed.
-
-    Inverse quadratic or secant steps, falling back to bisection when they
-    would not shrink the bracket fast enough (Brent 1973, ch. 4; the
-    arrangement of scipy's ``brentq``).  Stops once the bracket is within
-    ``rtol * (1 + |x|)`` of the current best point ``x``, a tolerance
-    relative to the estimate, not to the initial bracket, which may span
-    many orders of magnitude.  Returns that best point.
-    """
-    x_pre, g_pre, x_cur, g_cur = a, ga, b, gb
-    x_blk = g_blk = s_pre = s_cur = 0.0
-    if g_pre == 0:
-        return x_pre
-    while True:
-        if g_pre != 0 and g_cur != 0 and (g_pre < 0) != (g_cur < 0):
-            x_blk, g_blk = x_pre, g_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(g_blk) < abs(g_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            g_pre, g_cur, g_blk = g_cur, g_blk, g_cur
-        delta = 0.5 * rtol * (1.0 + abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if g_cur == 0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(g_cur) < abs(g_pre):
-            try:
-                if x_pre == x_blk:  # secant
-                    s_try = -g_cur * (x_cur - x_pre) / (g_cur - g_pre)
-                else:  # inverse quadratic
-                    d_pre = (g_pre - g_cur) / (x_pre - x_cur)
-                    d_blk = (g_blk - g_cur) / (x_blk - x_cur)
-                    s_try = -g_cur * (g_blk * d_blk - g_pre * d_pre) / (
-                        d_blk * d_pre * (g_blk - g_pre))
-            except ZeroDivisionError:
-                s_try = math.nan
-        else:
-            s_try = math.nan
-        # a nan step (from an infinite value, or none tried) fails the test
-        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-            s_pre, s_cur = s_cur, s_try
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, g_pre = x_cur, g_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        g_cur = g(x_cur)
 
 
 def profile_interval(
@@ -367,6 +323,8 @@ def profile_interval(
 
     def recorded(v):
         f = float(pnll(v))
+        if math.isnan(f):
+            f = math.inf  # outside the region, for the scan and the root search
         points.append((float(v), f))
         return f
 

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contagionfit import Network, write_network_csv
-from contagionfit.cli import _rule_from_spec, main
+from contagionfit import DEFAULT_CUTOFF, FitConfig, Network, write_network_csv
+from contagionfit.cli import _rule_from_spec, build_parser, main
 
 LN_120 = math.log(120.0)
 
@@ -121,6 +121,19 @@ def test_fit_unknown_rule_exits_1(toy_files, capsys):
     code = main(["fit", "--network", net, "--order", order, "--rule", "wat"])
     assert code == 1
     assert "unknown rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--rule", "freqdep"],
+    ["compare", "--rules", "freqdep"],
+])
+def test_fit_options_default_to_the_library_defaults(argv):
+    args = build_parser().parse_args(argv + ["--network", "net.csv", "--order", "1,2"])
+    cfg = FitConfig()
+    assert (args.restarts, args.tolerance, args.max_evals, args.seed) == (
+        cfg.restarts, cfg.tolerance, cfg.max_evals, cfg.seed)
+    if argv[0] == "fit":
+        assert args.cutoff == DEFAULT_CUTOFF
 
 
 # -------------------------------------------------------------- simulate

@@ -59,6 +59,15 @@ def test_quadratic_interval_endpoints():
         assert not ci.at_lower_bound and not ci.at_upper_bound
 
 
+@pytest.mark.parametrize("rel_tol", [1e-15, 1e-20])
+def test_quadratic_endpoints_at_a_tolerance_below_float_precision(rel_tol):
+    # below scipy's smallest brentq rtol the root search's rtol stops at that
+    # floor, and each endpoint lands within an ulp of the root
+    ci = profile_interval(quad_pnll(1.0, 2.0), 1.0, 0.0, config=ProfileConfig(rel_tol=rel_tol))
+    assert (ci.lower, ci.upper) == (-0.3856406460551019, 2.385640646055102)
+    assert len(ci.profile_points) == 24
+
+
 def test_quadratic_custom_cutoff_nesting():
     m, h = 2.0, 1.3
     narrow = profile_interval(quad_pnll(m, h), m, 0.0, cutoff=1.0)
@@ -133,15 +142,18 @@ def test_non_finite_profile_counts_as_outside(bad):
     # quadratic up to x = 1, inside the cutoff there, and nan or inf past it:
     # the upper endpoint is the edge of the finite part.  Every pin is
     # evaluated once; the root search reuses its bracket's values.
-    def pnll(x):
-        return quad_pnll(0.0, 2.0)(x) if x <= 1.0 else bad
+    def tail(value):
+        return lambda x: quad_pnll(0.0, 2.0)(x) if x <= 1.0 else value
 
-    ci = profile_interval(pnll, 0.0, 0.0)
+    ci = profile_interval(tail(bad), 0.0, 0.0)
     assert not ci.upper_open
     assert ci.upper == pytest.approx(1.0, abs=QUAD_ENDPOINT_TOL)
     assert ci.lower == pytest.approx(quad_endpoints(0.0, 2.0)[0], abs=QUAD_ENDPOINT_TOL)
     pins = [x for x, _ in ci.profile_points]
     assert len(set(pins)) == len(pins)
+    # nan is recorded as +inf, so it ends the bracket scan as +inf does and
+    # both tails evaluate the same pins
+    assert ci.profile_points == profile_interval(tail(math.inf), 0.0, 0.0).profile_points
 
 
 def test_mle_always_inside():
@@ -387,7 +399,10 @@ def test_coverage_panel_evaluation_counts():
     for k in range(5):
         fit = coverage_cell_fit(k)
         assert fit.n_evals < PANEL_EVALS_PER_FIT, k
-        points += sum(len(profile_ci(fit, i).profile_points) for i in range(2))
+        for i in range(2):
+            pins = [x for x, _ in profile_ci(fit, i).profile_points]
+            assert len(set(pins)) == len(pins), (k, i)  # no pin evaluated twice
+            points += len(pins)
     assert points < PANEL_PROFILE_POINTS
 
 
