@@ -13,9 +13,9 @@ coordinates picks the method:
 - two or more: a local search from the start plus ``restarts`` jittered
   restarts; the best end point wins, with ties broken toward the earlier
   start so results are reproducible.  The search is BFGS when the objective
-  carries its gradient (the built-in freqdep rule: the adjoint of the
-  run-based NLL times the rates' Jacobian, see `nll_objective`), else
-  derivative-free Nelder-Mead (threshold, custom and ``full_rate`` rules).
+  carries its gradient (the built-in freqdep rule, see `nll_objective`),
+  else derivative-free Nelder-Mead (threshold, custom and ``full_rate``
+  rules).
 
 Standard errors come from a central finite-difference Hessian of the NLL at
 the MLE and are reported only when that Hessian is positive definite and no
@@ -429,16 +429,19 @@ def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.nda
     """NLL as a plain params -> float callable (no bounds checks; an invalid
     rate raises ValueError).  The rule's parameter-free run pieces are
     prepared here, once, and shared by every evaluation.  When the prepared
-    rates have a ``jacobian`` (the built-in freqdep rule), the callable also
+    rates have a ``shape`` (the built-in simple, proportional and freqdep
+    rules), the objective keeps the event sums of the shapes it met, so an
+    evaluation that moves only s costs O(D) (`oada._nll`), and it also
     carries ``value_and_grad``: params -> (NLL, its gradient)."""
     run_rates = rule.run_rates(table.run_w, table.run_total)
+    cache: dict = {}
 
     def objective(p):
-        return _nll(rule, np.asarray(p, dtype=float), table, run_rates)
+        return _nll(rule, np.asarray(p, dtype=float), table, run_rates, cache)
 
-    if hasattr(run_rates, "jacobian"):
+    if hasattr(run_rates, "shape"):
         objective.value_and_grad = lambda p: _nll_and_gradient(
-            rule, np.asarray(p, dtype=float), table, run_rates)
+            rule, np.asarray(p, dtype=float), table, run_rates, cache)
     return objective
 
 

@@ -15,6 +15,8 @@ processes.
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,10 @@ __all__ = [
     "load_network_csv",
     "write_network_csv",
 ]
+
+
+# lines `load_network_csv` hands to numpy.loadtxt at a time
+CSV_BLOCK_ROWS = 64
 
 
 class NetworkFormatError(ValueError):
@@ -217,6 +223,46 @@ def load_network_csv(path: str, header: bool = False) -> Network:
         Naming the offending line for ragged rows, non-numeric cells, or a
         non-square result.
     """
+    weights = _parse_plain_csv(path, header)
+    if weights is None:
+        weights = _scan_csv(path, header)
+    return Network._adopt(weights, label=path)
+
+
+def _parse_plain_csv(path: str, header: bool) -> np.ndarray | None:
+    """The matrix of a file of plain numbers, parsed by `numpy.loadtxt` a
+    block of `CSV_BLOCK_ROWS` lines at a time into one preallocated array
+    (loadtxt on the whole file would hold a second copy of the matrix
+    while it grows its buffer); None for anything else (quoted or
+    non-numeric cells, ragged rows, no rows, a non-square result), which
+    `_scan_csv` then reads or names."""
+    weights = None
+    n_rows = 0
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
+        if header:
+            next(fh, None)
+        while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if block.size == 0:
+                continue
+            if weights is None:
+                weights = np.empty((block.shape[1], block.shape[1]))
+            if block.shape[1] != weights.shape[1] or n_rows + block.shape[0] > weights.shape[0]:
+                return None
+            weights[n_rows:n_rows + block.shape[0]] = block
+            n_rows += block.shape[0]
+    if weights is None or n_rows != weights.shape[0]:
+        return None
+    return weights
+
+
+def _scan_csv(path: str, header: bool) -> np.ndarray:
+    """Read the matrix line by line, cell by cell where a line is not plain
+    numbers, raising a NetworkFormatError that names the offending line."""
     weights = None  # allocated from the first row's width
     n_rows = 0
     with open(path, newline="") as fh:
@@ -245,7 +291,7 @@ def load_network_csv(path: str, header: bool = False) -> Network:
         raise NetworkFormatError(
             f"{path}: matrix is {n_rows}x{weights.shape[1]}, expected square"
         )
-    return Network._adopt(weights, label=path)
+    return weights
 
 
 def write_network_csv(network: Network, path: str) -> None:

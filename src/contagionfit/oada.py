@@ -20,19 +20,31 @@ no censoring term for individuals that never acquired.
 so each individual's time as a naive individual splits into a few stretches
 of events with constant sums, and every built-in rate is constant along a
 stretch.  An objective asks the rule once for ``params -> run rates`` on
-the table's run sums (`TransmissionRule.run_rates`: built-in freqdep and
-proportional rules prepare their parameter-free pieces there, other rules
-go through ``sums_rate``).  One evaluation then maps the parameters to one
-rate per run and forms the D event denominators from one prefix sum of
-rate changes: a run adds its rate minus the rate of the run it replaces,
-and an acquirer's rate leaves after its event.  It costs O(runs + D), where
-D is the number of events and runs <= n + the number of edges whose source
-acquires before its target: about 11 000 runs for n = 1000 at 2 % density,
-against the 500 500 (event, naive individual) slots of a complete
-diffusion.  Rules with only ``full_rate`` walk the events one by one.
-When the prepared rates have a Jacobian (freqdep), the same pass also
-gives the NLL's gradient in the rates, the adjoint of the prefix sum, at
-O(runs + D) more, and fits use it (`fit.nll_objective`).
+the table's run sums (`TransmissionRule.run_rates`: built-in rules other
+than asocial and threshold prepare their parameter-free pieces there,
+other rules go through ``sums_rate``).  Runs number at most n + the number
+of edges whose source acquires before its target: about 11 000 for
+n = 1000 at 2 % density, against the 500 500 (event, naive individual)
+slots of a complete diffusion.  Rules with only ``full_rate`` walk the
+events one by one.
+
+An evaluation has two halves.  The *pieces* (`_run_pieces`, O(runs)) take
+one value per run, ``x``, and give ``C_k``, the sum of ``x`` over the runs
+present at event k (one prefix sum of changes: a run adds its value minus
+the value of the run it replaces, and an acquirer's value leaves after its
+event), and ``a_k``, the value at event k's acquirer.  The *value*
+(`_scaled_nll`, O(D), D the number of events) is
+``Σ_k log(n_naive_k + s·C_k) − Σ_k log1p(s·a_k)``: the NLL of the rates
+``s·x``.  In the simple, proportional and freqdep rules the strength s
+only scales a *shape* ``x``, the rate at s = 1, which depends on the other
+parameters alone; an objective keeps the pieces of the shapes it met, so
+an evaluation that moves only s (a simple or proportional fit, every pin
+of an f interval, the nuisance grid each pin of an s interval scans
+again) costs O(D), and one that moves f costs O(runs + D).  Other rules
+pass their rates as ``x`` with s = 1, an O(runs + D) evaluation.  The
+gradient comes from the same halves: in s it is O(D), in the shape's
+parameters it is the adjoint of the prefix sum, O(runs + D) more, and fits
+use it (`fit.nll_objective`).
 """
 
 from __future__ import annotations
@@ -57,6 +69,11 @@ __all__ = [
     "load_order_file",
     "write_order_file",
 ]
+
+# shapes whose pieces one objective keeps (`_shape_pieces`), each 2·D + 2
+# floats: 1 MB at D = 1000; enough for the nuisance grid an s-profile pin
+# scans again (`fit.SCAN_POINTS`) plus the points one pin adds
+PIECES_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -125,8 +142,12 @@ class EventTable:
     ``run_rates`` on ``(run_w, run_total)``, prepared once per objective;
     the table caches nothing per rule, which would hold memory for as long
     as the table lives.  The likelihood forms every ``S_k`` as one prefix
-    sum: a run adds its rate minus the rate of the run it replaces at its
-    start, and an acquirer's rate leaves after its event.
+    sum over runs (`_run_pieces`): a run adds its rate minus the rate of the
+    run it replaces at its start, and an acquirer's rate leaves after its
+    event.  For a rule whose rates are ``s`` times a shape, the prefix sum
+    runs over the shape, once per shape, and ``S_k`` is ``s`` times its
+    result (`_scaled_nll`), so the objective that keeps those sums pays
+    O(D) for a new ``s``.
     With ε = 2**-53 the absolute round-off error of ``S_k`` is of order
     ε·(R_k + k)·M_k, where R_k is the number of runs started by event k and
     M_k the largest rate, rate change or ``S`` met up to k; a direct sum over
@@ -166,7 +187,7 @@ class EventTable:
     def _flow_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
         """(first replacing run, the runs those replace, start offset of
         each event's runs, events where no run starts or None if there are
-        none), for `_nll_from_rates`; rule-independent, so built once per
+        none), for `_run_pieces`; rule-independent, so built once per
         table while every objective evaluation reuses it."""
         first = self.data.network.n
         bounds = np.searchsorted(self.run_start, np.arange(self.n_events + 1))
@@ -292,38 +313,67 @@ def build_event_table(data: DiffusionData) -> EventTable:
     return EventTable(data=data, **arrays)
 
 
-def _nll_from_rates(t: np.ndarray, table: EventTable, adjoint: bool = False):
-    """NLL from one social rate per run; with ``adjoint``, also its
-    gradient in the rates, ``(nll, dnll/dt)``.
+def _run_pieces(x: np.ndarray, table: EventTable) -> tuple[np.ndarray, np.ndarray]:
+    """The O(runs) half of the NLL, for one value per run ``x`` (rates, or
+    a rule's shape): ``(C, a)``, where ``C[k]`` sums ``x`` over the runs
+    present at event k and ``a[k]`` is ``x`` at event k's acquirer.
 
-    Returns +inf instead of nan when rates overflow, so optimizers always
-    see an ordered objective.  The gradient is the adjoint of the prefix
-    sum: run r is present at events ``run_start[r] <= k < run_end[r]``, so
-    it gets the sum of ``1/denom_k`` over those events, less
-    ``1/(1 + t_r)`` if its individual acquires at the run's last event.
+    ``C`` is one prefix sum: a run adds its value minus the value of the
+    run it replaces, and an acquirer's value leaves after its event.
     """
     first, replaced, groups, empty = table._flow_index
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        change = np.empty(t.size + 1)  # the pad lets trailing empty groups index R
-        change[:-1] = t
+    with np.errstate(invalid="ignore", over="ignore"):
+        change = np.empty(x.size + 1)  # the pad lets trailing empty groups index R
+        change[:-1] = x
         change[-1] = 0.0
-        change[first:-1] -= t[replaced]
+        change[first:-1] -= x[replaced]
         flow = np.add.reduceat(change, groups)
         if empty is not None:
             flow[empty] = 0.0
-        t_acq = t[table.acquirer_run]
-        flow[1:] -= t_acq[:-1]
-        denom = table.n_naive + np.cumsum(flow)
-        val = float(np.log(denom).sum() - np.log1p(t_acq).sum())
-        if not math.isfinite(val):
-            val = math.inf
-        if not adjoint:
-            return val
-        inv_cumsum = np.zeros(denom.size + 1)
-        np.cumsum(1.0 / denom, out=inv_cumsum[1:])
-        grad = inv_cumsum[table.run_end] - inv_cumsum[table.run_start]
-        grad[table.acquirer_run] -= 1.0 / (1.0 + t_acq)
-    return val, grad
+        a = x[table.acquirer_run]
+        flow[1:] -= a[:-1]
+        return np.cumsum(flow), a
+
+
+def _scaled_nll(s: float, pieces, table: EventTable) -> tuple[float, np.ndarray]:
+    """The O(D) half: ``(NLL, event denominators)`` for the rates ``s * x``,
+    from the `_run_pieces` of ``x``, ``Σ log(n_naive + s·C) − Σ log1p(s·a)``.
+
+    The NLL is +inf instead of nan when rates overflow, so optimizers
+    always see an ordered objective.
+    """
+    c, a = pieces
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = table.n_naive + s * c
+        val = float(np.log(denom).sum() - np.log1p(s * a).sum())
+    return (val if math.isfinite(val) else math.inf), denom
+
+
+def _shape_pieces(rule: TransmissionRule, rest: np.ndarray, table: EventTable, run_rates,
+                  cache: dict, shape: np.ndarray | None = None):
+    """``(pieces, smallest, largest)`` of the shape at ``rest``, checked
+    once and kept in ``cache`` (least recently used out beyond
+    `PIECES_CACHE_SIZE` entries); ``shape`` is the shape at ``rest`` when
+    the caller has it already."""
+    key = rest.tobytes()
+    entry = cache.pop(key, None)
+    if entry is None:
+        x = np.asarray(run_rates.shape(rest) if shape is None else shape, dtype=float)
+        smallest, largest = x.min(), x.max()
+        _check_scale(rule, 1.0, smallest, largest)  # the shape is the rates at s = 1
+        entry = (_run_pieces(x, table), smallest, largest)
+        if len(cache) >= PIECES_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = entry
+    return entry
+
+
+def _check_scale(rule: TransmissionRule, s: float, smallest: float, largest: float) -> None:
+    """Check the rates ``s * x`` of a checked shape: every rate lies between
+    ``s * smallest`` and ``s * largest``, so those two decide."""
+    for t in (s * smallest, s * largest):
+        if not 0 <= t < math.inf:  # a NaN fails
+            raise ValueError(f"rule {rule.kind!r} produced invalid rate {t}")
 
 
 def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) -> float:
@@ -338,24 +388,54 @@ def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) 
     return nll
 
 
-def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable, run_rates) -> float:
+def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable, run_rates,
+         cache: dict) -> float:
     """NLL by the rule's one path, with every rate checked: the generic walk
-    for rules without ``sums_rate``, else one rate per run from
+    for rules without ``sums_rate``, else from the `_run_pieces` of
     ``run_rates``, the rule's `TransmissionRule.run_rates` on the table's
-    ``(run_w, run_total)``, which the caller prepares once per objective."""
+    ``(run_w, run_total)``, which the caller prepares once per objective.
+    When those rates have a ``shape``, the pieces of the shape at
+    ``params[1:]`` come from ``cache`` and only the scale ``params[0]``
+    is applied here, in O(D); other rates are their own shape at scale 1."""
     if run_rates is None:
         return _nll_generic(rule, params, table)
-    return _nll_from_rates(_check_rates(rule, run_rates(params)), table)
+    if not hasattr(run_rates, "shape"):
+        return _scaled_nll(1.0, _run_pieces(_check_rates(rule, run_rates(params)), table), table)[0]
+    pieces, smallest, largest = _shape_pieces(rule, params[1:], table, run_rates, cache)
+    _check_scale(rule, params[0], smallest, largest)
+    return _scaled_nll(params[0], pieces, table)[0]
 
 
 def _nll_and_gradient(rule: TransmissionRule, params: np.ndarray, table: EventTable,
-                      run_rates) -> tuple[float, np.ndarray]:
-    """NLL and its gradient in the parameters, for a rule whose prepared
-    ``run_rates`` has a ``jacobian``: the rates' adjoint times their
-    Jacobian.  The NLL is the one `_nll` returns, and every rate is checked."""
-    t, jac = run_rates.jacobian(params)
-    val, adjoint = _nll_from_rates(_check_rates(rule, t), table, adjoint=True)
-    return val, adjoint @ jac
+                      run_rates, cache: dict) -> tuple[float, np.ndarray]:
+    """NLL and its gradient in the parameters, for rates ``s * x`` whose
+    ``run_rates`` has a ``shape_jacobian``.  The NLL is the one `_nll`
+    returns, from the same cache, with the same checks.
+
+    The derivative in s is ``Σ C/denom − Σ a/(1 + s·a)``, O(D).  The
+    derivatives in the shape's parameters are ``s`` times the NLL's
+    gradient in the run values, the adjoint of the prefix sum: run r is
+    present at events ``run_start[r] <= k < run_end[r]``, so it gets the
+    sum of ``1/denom_k`` over those events, less ``1/(1 + s·a_k)`` where
+    its individual acquires at k; times the shape's Jacobian.
+    """
+    s, rest = params[0], params[1:]
+    x, dx = run_rates.shape_jacobian(rest)
+    (c, a), smallest, largest = _shape_pieces(rule, rest, table, run_rates, cache, shape=x)
+    _check_scale(rule, s, smallest, largest)
+    val, denom = _scaled_nll(s, (c, a), table)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_denom = 1.0 / denom
+        inv_acq = 1.0 / (1.0 + s * a)
+        grad = np.empty(params.size)
+        grad[0] = inv_denom @ c - inv_acq @ a
+        if rest.size:
+            inv_cumsum = np.zeros(denom.size + 1)
+            np.cumsum(inv_denom, out=inv_cumsum[1:])
+            adjoint = inv_cumsum[table.run_end] - inv_cumsum[table.run_start]
+            adjoint[table.acquirer_run] -= inv_acq
+            grad[1:] = s * (adjoint @ dx)
+    return val, grad
 
 
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:
@@ -366,7 +446,7 @@ def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -
     in the table, or a non-finite likelihood.
     """
     p = rule.check_params(params)
-    nll = _nll(rule, p, table, rule.run_rates(table.run_w, table.run_total))
+    nll = _nll(rule, p, table, rule.run_rates(table.run_w, table.run_total), {})
     if not np.isfinite(nll):
         raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
     return nll

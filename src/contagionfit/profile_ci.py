@@ -290,12 +290,21 @@ def _search_side(
     last_in = max(i for i, ok in enumerate(inside) if ok)
     a, b = xs[last_in], xs[last_in + 1]
     known = {a: fs[last_in], b: fs[last_in + 1]}
+    # the profile goes in as args: scipy wraps the callable in a function
+    # that refers to itself, a reference cycle that would keep a closure
+    # over ``pnll`` (its objective and cached event sums) alive until the
+    # next cyclic garbage collection
     endpoint = brentq(
-        lambda x: (known[x] if x in known else pnll(x)) - target,
-        a, b,
+        _above_target, a, b, args=(pnll, known, target),
         xtol=cfg.rel_tol / 4.0, rtol=max(cfg.rel_tol / 4.0, BRENTQ_MIN_RTOL),
     )
     return endpoint, False, False
+
+
+def _above_target(x, pnll, known, target):
+    """Profile value at ``x`` above ``target``, read from ``known`` when the
+    bracket scan evaluated ``x`` already."""
+    return (known[x] if x in known else pnll(x)) - target
 
 
 def profile_interval(

@@ -14,12 +14,15 @@ Every built-in rule depends on the connections only through two sums:
 `eval_rate` call on sums that change every step.  The likelihood evaluates
 one table's fixed sums many times, so it asks the rule once per objective
 for ``params -> rates`` on those sums (`TransmissionRule.run_rates`): the
-freqdep and proportional rules ``prepare`` their parameter-free pieces
-there (a log ratio, an informed fraction), and every other rule, custom
-rules included, goes through ``sums_rate``.  The freqdep rule's prepared
-rates also give their Jacobian in (s, f), from the same log ratio, for
-gradient fits.  Custom rules may instead supply a plain per-individual
-``full_rate(params, a_i, z)``.
+simple, proportional and freqdep rules ``prepare`` their parameter-free
+pieces there (the informed weight, an informed fraction, a log ratio), and
+every other rule, custom rules included, goes through ``sums_rate``.  In
+those three rules the learning strength s only scales a *shape*, the rate
+at s = 1: ``T = s * x``, where x depends on the other parameters alone
+(none, or f).  Their prepared rates give that shape and its derivatives,
+so the likelihood can keep a shape's event sums and re-evaluate a new s
+in O(events) (see `oada`).  Custom rules may instead supply a plain
+per-individual ``full_rate(params, a_i, z)``.
 
 Built-ins
 ---------
@@ -85,9 +88,13 @@ class TransmissionRule:
     prepare : optional ``(w_informed, total) -> (params -> rates)`` that
         computes the parameter-free pieces of ``sums_rate`` once for fixed
         sums, giving the same rates; `run_rates` falls back to
-        ``sums_rate`` without it.  The callable may also have a method
-        ``jacobian(params) -> (rates, (R, k) derivatives in the params)``,
-        which gives fits a gradient (the built-in freqdep rule's has)
+        ``sums_rate`` without it.  When the first parameter only scales the
+        rates, ``rates(params) == params[0] * x`` with ``x`` independent of
+        ``params[0]``, the callable may also have the methods
+        ``shape(rest) -> x`` and ``shape_jacobian(rest) -> (x, (R, k - 1)
+        derivatives of x in rest)``, where ``rest = params[1:]``; the
+        likelihood then caches each shape's event sums and gives fits a
+        gradient (the built-in simple, proportional and freqdep rules)
     full_rate : general evaluator used when no fast path exists
     size_param : name of the parameter that switches social learning off at
         0; other parameters are non-identifiable when it is truly 0
@@ -160,16 +167,33 @@ def _simple_sums(params, w, tot):
     return params[0] * np.asarray(w, dtype=float)
 
 
+def _simple_prepare(w, tot):
+    return _FixedShape(np.asarray(w, dtype=float))
+
+
+class _FixedShape:
+    """Rates ``s * x`` on fixed sums, for a shape ``x`` with no parameter
+    (simple: ``w_informed``; proportional: the informed fraction)."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __call__(self, params):
+        return params[0] * self.x
+
+    def shape(self, rest):
+        return self.x
+
+    def shape_jacobian(self, rest):
+        return self.x, np.empty((self.x.size, 0))
+
+
 def _proportional_prepare(w, tot):
     w = np.asarray(w, dtype=float)
     tot = np.asarray(tot, dtype=float)
     frac = np.zeros(np.broadcast(w, tot).shape)
     np.divide(w, tot, out=frac, where=tot > 0)
-    return functools.partial(_proportional_rate, frac)
-
-
-def _proportional_rate(frac, params):
-    return params[0] * frac
+    return _FixedShape(frac)
 
 
 def _proportional_sums(params, w, tot):
@@ -190,8 +214,9 @@ def _freqdep_prepare(w, tot):
 
 
 class _FreqdepRates:
-    """Freqdep rates on fixed sums, from their prepared log ratio; also
-    their Jacobian in (s, f), which gradient fits use."""
+    """Freqdep rates ``s * x`` on fixed sums, from their prepared log ratio:
+    the shape ``x`` is the informed share, a function of f alone, and its
+    derivative in f comes from the same log ratio."""
 
     def __init__(self, log_ratio):
         self.log_ratio = log_ratio
@@ -214,12 +239,12 @@ class _FreqdepRates:
         s, f = params
         return s * self._share(f)
 
-    def jacobian(self, params):
-        """(rates, (R, 2) array of their derivatives in s and f)."""
-        s, f = params
-        share = self._share(f)
-        d_f = -s * self._finite_ratio * share * (1.0 - share)
-        return s * share, np.stack((share, d_f), axis=1)
+    def shape(self, rest):
+        return self._share(rest[0])
+
+    def shape_jacobian(self, rest):
+        share = self._share(rest[0])
+        return share, (-self._finite_ratio * share * (1.0 - share))[:, None]
 
 
 def _freqdep_sums(params, w, tot):
@@ -258,6 +283,7 @@ def simple_rule() -> TransmissionRule:
         lower=(0.0,),
         upper=(np.inf,),
         sums_rate=_simple_sums,
+        prepare=_simple_prepare,
         size_param="s",
         default_start=(1.0,),
     )

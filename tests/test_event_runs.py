@@ -31,6 +31,7 @@ from contagionfit import (
     simulate_diffusion,
 )
 from contagionfit.fit import nll_objective
+from contagionfit.oada import PIECES_CACHE_SIZE
 
 NLL_RTOL = 1e-10
 # central differences of the twin NLL: relative step, and agreement
@@ -186,6 +187,39 @@ def test_freqdep_gradient_matches_central_differences(diffusion, s, f):
         down[i] -= h
         central = (twin_nll("freqdep", up, w, order) - twin_nll("freqdep", down, w, order)) / (2 * h)
         assert grad[i] == pytest.approx(central, rel=GRAD_RTOL, abs=GRAD_ATOL), i
+
+
+@PROPERTY_SETTINGS
+@given(diffusions(),
+       builtin_params(rate=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e6)),
+                      f=st.one_of(st.just(0.0), st.just(0.2), st.floats(0.2, 20.0),
+                                  st.floats(20.0, 1e6))),
+       st.integers(0, 2**32 - 1))
+def test_scaled_nll_is_one_value_whatever_the_cache_holds(diffusion, params, seed):
+    # an objective keeps the event sums of each shape it meets (rates s * x,
+    # x fixed by the parameters other than s): its value, the value of its
+    # value_and_grad and negative_log_likelihood are one number, bit for bit,
+    # whichever path filled the cache and whatever else the cache held
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    rng = np.random.default_rng(seed)
+    for kind in ("simple", "proportional", "freqdep"):
+        rule = frequency_dependent_rule(f_lower=0.0) if kind == "freqdep" else rule_from_name(kind)
+        p = np.array(params[kind], dtype=float)
+        want = negative_log_likelihood(rule, p, table)
+        assert want == pytest.approx(twin_nll(kind, p, w, order), rel=NLL_RTOL, abs=NLL_RTOL), kind
+        value_first, gradient_first = nll_objective(rule, table), nll_objective(rule, table)
+        assert value_first(p) == value_first.value_and_grad(p)[0] == want, kind
+        assert gradient_first.value_and_grad(p)[0] == gradient_first(p) == want, kind
+        # a walk over more shapes than the cache keeps, starting elsewhere,
+        # with every fourth point at the shape of p, by both paths
+        walked = nll_objective(rule, table)
+        for i in range(PIECES_CACHE_SIZE + 16):
+            q = rng.uniform(0.0, 2.0 * p + 1.0)
+            if i % 4 == 3:
+                q[1:] = p[1:]
+            (walked.value_and_grad if rng.random() < 0.5 else walked)(q)
+        assert walked(p) == walked.value_and_grad(p)[0] == want, kind
 
 
 @PROPERTY_SETTINGS

@@ -16,6 +16,7 @@ from contagionfit import (
     validate,
     write_network_csv,
 )
+from contagionfit import network as network_module
 
 # generated-network row-sum moments (with and without the row multiplier)
 EXPECTED_MEAN_WITH_MULT = 38.0
@@ -178,6 +179,31 @@ def test_csv_round_trip_is_exact(tmp_path_factory, weights):
     path = tmp_path_factory.mktemp("net") / "net.csv"
     write_network_csv(Network(weights), str(path))
     assert np.array_equal(load_network_csv(str(path)).weights, weights)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(
+           lambda n: arrays(np.float64, (n, n), elements=st.floats(0.0, 1e300))),
+       st.sampled_from(["{!r}", "{:.17g}", "{:.17e}"]),
+       st.sampled_from(["\n", "\r\n"]),
+       st.booleans(),
+       st.lists(st.integers(0, 6), max_size=3))
+def test_csv_fast_path_matches_line_scan(tmp_path_factory, weights, fmt, newline, header,
+                                         blank_after):
+    # numpy.loadtxt and the line-by-line scan read the same matrix from a file
+    # of plain numbers: 17 significant digits, CRLF line ends, blank lines,
+    # a header row
+    lines = [",".join(fmt.format(float(v)) for v in row) for row in weights]
+    for i in sorted(blank_after, reverse=True):
+        lines.insert(min(i, len(lines)), "")
+    if header:
+        lines.insert(0, ",".join(f"v{j}" for j in range(weights.shape[0])))
+    path = tmp_path_factory.mktemp("net") / "net.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    fast = network_module._parse_plain_csv(str(path), header)
+    assert fast is not None
+    assert np.array_equal(fast, weights)
+    assert np.array_equal(network_module._scan_csv(str(path), header), weights)
 
 
 def test_csv_header_flag(tmp_path):

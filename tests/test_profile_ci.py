@@ -1,3 +1,4 @@
+import gc
 import importlib
 import math
 from dataclasses import replace
@@ -27,6 +28,7 @@ from contagionfit import (
     simple_rule,
     simulate_diffusion,
 )
+from contagionfit import oada
 from contagionfit.profile_ci import FIRST_OFFSET_FLOOR, FIRST_OFFSET_FRAC
 
 QUAD_ENDPOINT_TOL = 1e-3
@@ -292,7 +294,7 @@ def test_profile_of_f_pins_zero_in_a_box_reaching_it():
     ci = profile_ci(fit, 1)
     assert dict(ci.profile_points)[0.0] == pytest.approx(42.46695246281445, rel=1e-12)
     assert (ci.lower, ci.upper) == pytest.approx(
-        (0.10168157102417165, 47.71792737591923), rel=1e-12)
+        (0.10168157296045485, 47.71791566885574), rel=1e-12)
     for endpoint in (ci.lower, ci.upper):
         at_endpoint = dense_profile(fit.table, frequency_dependent_rule(f_lower=0.0), 1, endpoint)
         assert at_endpoint == pytest.approx(fit.nll + ci.cutoff, abs=DENSE_PROFILE_TOL)
@@ -313,6 +315,21 @@ def test_fit_and_profile_prepare_the_rule_once(freqdep_fit):
     assert len(calls) == 1 < fit.n_evals
     ci = profile_ci(fit, 1)
     assert len(calls) == 2 < len(ci.profile_points)
+
+
+def test_profile_is_freed_when_its_interval_is_done(freqdep_fit):
+    # scipy's brentq keeps its callable in a reference cycle; the profile,
+    # with its objective and the event sums it caches, must be freed when
+    # profile_ci returns, not at the next cyclic garbage collection
+    profile_module = importlib.import_module("contagionfit.profile_ci")
+    gc.collect()
+    gc.disable()
+    try:
+        profile_ci(freqdep_fit, 0)
+        left = [o for o in gc.get_objects() if isinstance(o, profile_module._Profile)]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_profile_ci_rejects_bad_index(freqdep_fit):
@@ -389,12 +406,17 @@ def test_fit_finds_the_far_basin_of_pair_1010():
 # evaluation counts do not depend on the hardware: on the coverage panel
 # (k < 5) the gradient fits took 107-129 evaluations each, against 903-1019
 # for Nelder-Mead, and the ten intervals 252 profile points in all, against
-# 382 with bisection
+# 382 with bisection.  The fits and intervals made 1 849 O(runs) passes
+# (`oada._run_pieces`) in all, against 7 103 when every evaluation made one
 PANEL_EVALS_PER_FIT = 200
 PANEL_PROFILE_POINTS = 300
+PANEL_PIECES_PASSES = 2500
 
 
-def test_coverage_panel_evaluation_counts():
+def test_coverage_panel_evaluation_counts(monkeypatch):
+    passes = []
+    run_pieces = oada._run_pieces
+    monkeypatch.setattr(oada, "_run_pieces", lambda *args: passes.append(1) or run_pieces(*args))
     points = 0
     for k in range(5):
         fit = coverage_cell_fit(k)
@@ -404,6 +426,7 @@ def test_coverage_panel_evaluation_counts():
             assert len(set(pins)) == len(pins), (k, i)  # no pin evaluated twice
             points += len(pins)
     assert points < PANEL_PROFILE_POINTS
+    assert len(passes) < PANEL_PIECES_PASSES
 
 
 @pytest.mark.parametrize("k, index", [
