@@ -140,12 +140,29 @@ def _fit_config(args) -> FitConfig:
     )
 
 
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+             dict: "an object", list: "a list"}
+
+
+def _typed(value, kind, where: str, name: str):
+    """The JSON value of field ``name`` as a ``kind``, or a ValueError naming
+    it: a bool field takes only true or false, an int field any integral
+    number and a float field any number, but neither takes a bool."""
+    if kind in (int, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValueError(f"{where}: field {name!r} must be {_EXPECTED[kind]}, got {value!r}")
+    return kind(value)
+
+
 def _settings(cls, doc, where: str, names):
     """A ``cls`` settings object from the JSON object ``doc``, which may set
     the dataclass fields ``names``.  A field takes the type of its default
-    (an integer field takes any integral number) and keeps the default when
-    absent; an unknown field, a wrong type or a value ``cls`` refuses is a
-    ValueError naming it."""
+    (see `_typed`) and keeps the default when absent; an unknown field, a
+    wrong type or a value ``cls`` refuses is a ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name in names}
@@ -153,12 +170,7 @@ def _settings(cls, doc, where: str, names):
     for name, value in doc.items():
         if name not in defaults:
             raise ValueError(f"{where}: unknown field {name!r}")
-        kind = type(defaults[name])
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (kind is int and isinstance(value, float) and not value.is_integer())):
-            expected = "an integer" if kind is int else "a number"
-            raise ValueError(f"{where}: field {name!r} must be {expected}, got {value!r}")
-        kwargs[name] = kind(value)
+        kwargs[name] = _typed(value, type(defaults[name]), where, name)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -259,8 +271,9 @@ def cmd_simulate(args) -> int:
     params = _parse_floats(args.params, "--params") if args.params else ()
     initial = _parse_floats(args.initial, "--initial") if args.initial else ()
     for i in initial:
-        if not i.is_integer():
-            return _fail(f"--initial expects 1-based individual indices, got {i!r}")
+        if not (i.is_integer() and 1 <= i <= network.n):
+            return _fail(f"--initial expects 1-based individual indices from 1 to {network.n}, "
+                         f"got {i:.15g}")
     data, trace = simulate_diffusion(
         network,
         rule,
@@ -343,11 +356,7 @@ def _rule_from_spec(doc, where: str):
     for name, value in constants.items():
         if name not in _RULE_CONSTANTS:
             raise ValueError(f"{where}: unknown field {name!r}")
-        kind = _RULE_CONSTANTS[name][2]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float)):
-            expected = "true or false" if kind is bool else "a number"
-            raise ValueError(f"{where}: field {name!r} must be {expected}, got {value!r}")
-        constants[name] = kind(value)
+        constants[name] = _typed(value, _RULE_CONSTANTS[name][2], where, name)
     [rule] = _build_rules([str(doc["name"])], constants,
                           lambda constant: f"{where}: field {constant!r}")
     return rule
@@ -356,20 +365,17 @@ def _rule_from_spec(doc, where: str):
 def _require(spec: dict, field: str, kind, where: str = "spec"):
     if field not in spec:
         raise ValueError(f"{where}: missing required field {field!r}")
-    value = spec[field]
-    if not isinstance(value, kind):
-        raise ValueError(f"{where}: field {field!r} has the wrong type")
-    return value
+    return _typed(spec[field], kind, where, field)
 
 
 def _run_settings(spec: dict, args) -> tuple[int, int, FitConfig]:
     """A spec's reps, seed and ``fit`` settings, with the --reps and --seed
     overrides applied."""
     reps = args.reps if args.reps is not None else _require(spec, "reps", int)
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    seed = args.seed if args.seed is not None else _typed(spec.get("seed", 0), int, "spec", "seed")
     fit_cfg = _settings(FitConfig, spec.get("fit", {}), "fit",
                         ("restarts", "tolerance", "max_evals"))
-    return int(reps), seed, dataclasses.replace(fit_cfg, seed=seed)
+    return reps, seed, dataclasses.replace(fit_cfg, seed=seed)
 
 
 def _experiment_config(spec: dict, args) -> ExperimentConfig:
@@ -377,12 +383,13 @@ def _experiment_config(spec: dict, args) -> ExperimentConfig:
                           _SPEC_GENERATOR_FIELDS)
     true_rule = _rule_from_spec(_require(spec, "true_rule", dict), "true_rule")
     grid_axes = _require(spec, "grid", dict)
-    grid = expand_grid(
-        true_rule, {k: [float(v) for v in vs] for k, vs in grid_axes.items()}
-    )
+    grid = expand_grid(true_rule, {
+        k: [_typed(v, float, "grid", k) for v in _require(grid_axes, k, list, "grid")]
+        for k in grid_axes
+    })
     candidates = tuple(
         _rule_from_spec(d if isinstance(d, dict) else {"name": d}, "candidates")
-        for d in spec.get("candidates", [])
+        for d in _typed(spec.get("candidates", []), list, "spec", "candidates")
     )
     reps, seed, fit_cfg = _run_settings(spec, args)
     prof_cfg = _settings(ProfileConfig, spec.get("profile", {}), "profile",
@@ -440,7 +447,7 @@ def cmd_experiment(args) -> int:
 
 def _run_calibrate_spec(spec: dict, args) -> int:
     data = _load_data(_require(spec, "network", str), _require(spec, "order", str),
-                      bool(spec.get("header", False)))
+                      _typed(spec.get("header", False), bool, "spec", "header"))
     rule = _rule_from_spec(_require(spec, "rule", dict), "rule")
     param = _require(spec, "param", str)
     if param not in rule.param_names:

@@ -9,7 +9,9 @@ the command line use 1-based labels (see `load_network_csv` / the CLI docs).
 Networks are immutable once constructed: the weight array is copied (the
 CSV loader hands over the one array it parsed into) and marked read-only, so
 one network can safely be shared across fits, simulator runs and worker
-processes.
+processes.  `load_network_csv` is the one file reader: `numpy.loadtxt` reads
+the file `CSV_BLOCK_ROWS` lines at a time, and only a block it refuses is
+read again cell by cell, to accept quoted cells or name the bad line.
 """
 
 from __future__ import annotations
@@ -186,112 +188,81 @@ def generate_network(config: GeneratorConfig) -> Network:
     return Network(w, label=f"generated(n={n}, seed={config.seed})")
 
 
-def _parse_float(text: str, line_no: int, path: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise NetworkFormatError(
-            f"{path}, line {line_no}: {text!r} is not a number"
-        ) from None
-
-
-def _rescan_row(line: str, line_no: int, path: str) -> np.ndarray | None:
-    """Parse one line cell by cell, as CSV: None for a blank line, else its
-    values, or a NetworkFormatError naming the line and the offending cell."""
-    cells = [c.strip() for c in next(csv.reader([line]), [])]
-    if not any(cells):
-        return None
-    for c in cells:
-        if c == "":
-            raise NetworkFormatError(f"{path}, line {line_no}: empty cell in matrix row")
-    return np.array([_parse_float(c, line_no, path) for c in cells])
-
-
 def load_network_csv(path: str, header: bool = False) -> Network:
     """Read a square comma-separated weight matrix, labelled with ``path``.
 
     Parameters
     ----------
     path : str
-        CSV file, one row per line.  Blank lines are ignored.
+        CSV file, one row per line, with LF, CRLF or CR line ends.  Blank
+        lines are ignored; cells may be quoted.
     header : bool
         Skip a single leading header row.
 
     Raises
     ------
     NetworkFormatError
-        Naming the offending line for ragged rows, non-numeric cells, or a
+        Naming the 1-based line of an empty or non-numeric cell or of a row
+        whose width differs from the first row's; or for no data rows or a
         non-square result.
     """
-    weights = _parse_plain_csv(path, header)
-    if weights is None:
-        weights = _scan_csv(path, header)
-    return Network._adopt(weights, label=path)
-
-
-def _parse_plain_csv(path: str, header: bool) -> np.ndarray | None:
-    """The matrix of a file of plain numbers, parsed by `numpy.loadtxt` a
-    block of `CSV_BLOCK_ROWS` lines at a time into one preallocated array
-    (loadtxt on the whole file would hold a second copy of the matrix
-    while it grows its buffer); None for anything else (quoted or
-    non-numeric cells, ragged rows, no rows, a non-square result), which
-    `_scan_csv` then reads or names."""
-    weights = None
-    n_rows = 0
+    weights = None  # allocated from the first row's width
+    n_rows = 0  # rows past the first row's width are counted, not stored
+    line_no = 2 if header else 1  # of the next line read
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
         if header:
             next(fh, None)
         while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
-            try:
-                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                return None
+            block = _read_block(lines, line_no, path, None if weights is None else weights.shape[1])
+            line_no += len(lines)
             if block.size == 0:
                 continue
             if weights is None:
                 weights = np.empty((block.shape[1], block.shape[1]))
-            if block.shape[1] != weights.shape[1] or n_rows + block.shape[0] > weights.shape[0]:
-                return None
-            weights[n_rows:n_rows + block.shape[0]] = block
+            stored = block[:max(weights.shape[0] - n_rows, 0)]
+            weights[n_rows:n_rows + stored.shape[0]] = stored
             n_rows += block.shape[0]
-    if weights is None or n_rows != weights.shape[0]:
-        return None
-    return weights
-
-
-def _scan_csv(path: str, header: bool) -> np.ndarray:
-    """Read the matrix line by line, cell by cell where a line is not plain
-    numbers, raising a NetworkFormatError that names the offending line."""
-    weights = None  # allocated from the first row's width
-    n_rows = 0
-    with open(path, newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if header and line_no == 1:
-                continue
-            try:
-                values = np.array(line.split(","), dtype=float)
-            except ValueError:  # blank, empty cell, quoted or non-numeric
-                values = _rescan_row(line, line_no, path)
-                if values is None:
-                    continue
-            if weights is None:
-                weights = np.empty((values.size, values.size))
-            elif values.size != weights.shape[1]:
-                raise NetworkFormatError(
-                    f"{path}, line {line_no}: row has {values.size} entries, "
-                    f"expected {weights.shape[1]}"
-                )
-            if n_rows < weights.shape[0]:  # extra rows are only counted
-                weights[n_rows] = values
-            n_rows += 1
     if weights is None:
         raise NetworkFormatError(f"{path}: no data rows")
     if n_rows != weights.shape[1]:
         raise NetworkFormatError(
             f"{path}: matrix is {n_rows}x{weights.shape[1]}, expected square"
         )
-    return weights
+    return Network._adopt(weights, label=path)
+
+
+def _read_block(lines: list[str], line_no: int, path: str, width: int | None) -> np.ndarray:
+    """The rows of ``lines``, the first of which is line ``line_no``, each
+    ``width`` values wide (None: as wide as the first).  `numpy.loadtxt` reads
+    a block of plain numbers; a block it refuses or of another width is read
+    line by line as CSV cells, raising a NetworkFormatError naming the line."""
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if block.size == 0 or block.shape[1] == (width or block.shape[1]):
+            return block
+    except ValueError:
+        pass
+    rows = []
+    for line_no, line in enumerate(lines, start=line_no):
+        cells = [c.strip() for c in next(csv.reader([line]), [])]
+        if not any(cells):
+            continue
+        if "" in cells:
+            raise NetworkFormatError(f"{path}, line {line_no}: empty cell in matrix row")
+        row = []
+        for c in cells:
+            try:
+                row.append(float(c))
+            except ValueError:
+                raise NetworkFormatError(f"{path}, line {line_no}: {c!r} is not a number") from None
+        width = width or len(row)
+        if len(row) != width:
+            raise NetworkFormatError(
+                f"{path}, line {line_no}: row has {len(row)} entries, expected {width}"
+            )
+        rows.append(row)
+    return np.array(rows, ndmin=2)
 
 
 def write_network_csv(network: Network, path: str) -> None:

@@ -164,7 +164,7 @@ def _asocial_sums(params, w, tot):
 
 
 def _simple_sums(params, w, tot):
-    return params[0] * np.asarray(w, dtype=float)
+    return _simple_prepare(w, tot)(params)
 
 
 def _simple_prepare(w, tot):

@@ -218,6 +218,19 @@ def test_simulate_rejects_fractional_initial(toy_files, capsys):
     assert "2.7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("initial", ["9", "0"])
+def test_simulate_rejects_out_of_range_initial(toy_files, capsys, initial):
+    # named as typed, 1-based, on the 5-individual network
+    net, _ = toy_files
+    code = main([
+        "simulate", "--network", net, "--rule", "simple",
+        "--params", "2.0", "--initial", f"1,{initial}", "--seed", "1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"from 1 to 5, got {initial}\n" in err and "index" not in err
+
+
 # --------------------------------------------------------------- compare
 
 def test_compare_table(toy_files, capsys):
@@ -441,6 +454,9 @@ def test_experiment_spec_error_names_field(tmp_path, capsys):
     ("true_rule", {"name": "threshold", "estimate_b": "no"}, "'estimate_b'"),
     ("true_rule", {"name": "threshold", "b": "5"}, "'b'"),
     ("true_rule", {"name": "freqdep", "f_lower": False}, "'f_lower'"),
+    # each grid axis is a list of numbers
+    ("grid", {"s": 5}, "'s'"),
+    ("grid", {"s": [True]}, "'s'"),
 ])
 def test_experiment_spec_settings_are_typed(tmp_path, capsys, field, value, name):
     spec = json.loads(_selection_spec(tmp_path).read_text())
@@ -456,10 +472,41 @@ def test_experiment_spec_settings_are_typed(tmp_path, capsys, field, value, name
 def test_experiment_spec_integer_field_takes_integral_float(tmp_path):
     spec = json.loads(_selection_spec(tmp_path).read_text())
     spec["generator"] = {"n": 15.0}
+    spec["reps"] = 2.0
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code = main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "r")])
     assert code == 0
+    assert json.loads((tmp_path / "r" / "manifest.json").read_text())["reps"] == 2
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("reps", True, "an integer"),
+    ("reps", 2.5, "an integer"),
+    ("seed", 1.7, "an integer"),
+    ("seed", True, "an integer"),
+    ("seed", "abc", "an integer"),
+    ("candidates", "simple", "a list"),
+])
+def test_experiment_spec_top_level_fields_are_typed(tmp_path, capsys, field, value, expected):
+    spec = json.loads(_selection_spec(tmp_path).read_text())
+    spec[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code = main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"spec: field '{field}' must be {expected}" in capsys.readouterr().err
+
+
+def test_experiment_calibrate_header_is_a_bool(tmp_path, toy_files, capsys):
+    net, order = toy_files
+    spec = {"kind": "calibrate", "network": net, "order": order, "header": "false",
+            "rule": {"name": "simple"}, "param": "s", "reps": 20}
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(spec))
+    code = main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert "spec: field 'header' must be true or false" in capsys.readouterr().err
 
 
 def test_simulate_generate_rejects_fractional_n(capsys):

@@ -190,20 +190,23 @@ def test_csv_round_trip_is_exact(tmp_path_factory, weights):
        st.lists(st.integers(0, 6), max_size=3))
 def test_csv_fast_path_matches_line_scan(tmp_path_factory, weights, fmt, newline, header,
                                          blank_after):
-    # numpy.loadtxt and the line-by-line scan read the same matrix from a file
-    # of plain numbers: 17 significant digits, CRLF line ends, blank lines,
-    # a header row
+    # numpy.loadtxt reads a file of plain numbers (17 significant digits, CRLF
+    # line ends, blank lines, a header row), and the cell-by-cell read the same
+    # file with every cell quoted, into the same matrix
     lines = [",".join(fmt.format(float(v)) for v in row) for row in weights]
     for i in sorted(blank_after, reverse=True):
         lines.insert(min(i, len(lines)), "")
     if header:
         lines.insert(0, ",".join(f"v{j}" for j in range(weights.shape[0])))
-    path = tmp_path_factory.mktemp("net") / "net.csv"
-    path.write_bytes((newline.join(lines) + newline).encode())
-    fast = network_module._parse_plain_csv(str(path), header)
-    assert fast is not None
-    assert np.array_equal(fast, weights)
-    assert np.array_equal(network_module._scan_csv(str(path), header), weights)
+    quoted = [",".join(f'"{c}"' for c in line.split(",")) if line else "" for line in lines]
+    for text in (lines, quoted):
+        path = tmp_path_factory.mktemp("net") / "net.csv"
+        path.write_bytes((newline.join(text) + newline).encode())
+        if weights.shape[0] < 2:
+            with pytest.raises(ValueError, match="at least 2 individuals"):
+                load_network_csv(str(path), header=header)
+        else:
+            assert np.array_equal(load_network_csv(str(path), header=header).weights, weights)
 
 
 def test_csv_header_flag(tmp_path):
@@ -251,3 +254,52 @@ def test_csv_empty_file(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(NetworkFormatError, match="no data"):
         load_network_csv(str(path))
+
+
+def test_csv_lines_past_the_first_block(tmp_path):
+    # line numbers count every line of the file, blank or not, whichever
+    # reader took its block: numpy.loadtxt or the cell-by-cell read
+    b = network_module.CSV_BLOCK_ROWS
+    path = tmp_path / "net.csv"
+
+    def load(lines, end="\n", header=False):
+        path.write_bytes((end.join(lines) + end).encode())
+        return load_network_csv(str(path), header=header).weights
+
+    def matrix(n_rows, width):
+        return [",".join(f"{i}.{j}" for j in range(width)) for i in range(n_rows)]
+
+    n = b + 6
+    plain = matrix(n, n)
+    expected = np.array([[float(c) for c in line.split(",")] for line in plain])
+    assert np.array_equal(load(plain), expected)
+    assert np.array_equal(load(plain, "\r"), expected)
+    assert np.array_equal(load(plain[:b + 2] + ["   ", "\t"] + plain[b + 2:]), expected)
+    quoted = [",".join(f'"{c}"' for c in line.split(",")) for line in plain]
+    assert np.array_equal(load(plain[:b + 2] + quoted[b + 2:]), expected)
+
+    bad = "x" + plain[-1][plain[-1].index(","):]
+    with pytest.raises(NetworkFormatError, match=f"line {n}: 'x' is not a number"):
+        load(plain[:-1] + [bad])
+    # the same line after two whitespace-only lines of its own block
+    with pytest.raises(NetworkFormatError, match=f"line {n}: 'x' is not a number"):
+        load(plain[:b + 2] + ["   ", "\t"] + plain[b + 2:-3] + [bad])
+    short = plain[b].rsplit(",", 1)[0]
+    ragged = f"line {b + 1}: row has {n - 1} entries, expected {n}"
+    with pytest.raises(NetworkFormatError, match=ragged):
+        load(plain[:b] + [short] + plain[b + 1:])
+    with pytest.raises(NetworkFormatError, match=ragged):  # after a blank line
+        load(plain[:b - 1] + ["", short] + plain[b + 1:])
+    with pytest.raises(NetworkFormatError, match=ragged):  # after a header line
+        load(["h"] + plain[:b - 1] + [short] + plain[b:], header=True)
+    with pytest.raises(NetworkFormatError, match=f"line {b + 1}: row has 4 entries, expected 3"):
+        load(matrix(b, 3) + matrix(n, 4)[b:])
+
+    wide = matrix(2 * b + 22, 2 * b + 22)
+    wide[2 * b] = ",".join(f'"{c}"' for c in wide[2 * b].split(","))
+    wide[2 * b + 2] += ",1"
+    with pytest.raises(NetworkFormatError,
+                       match=f"line {2 * b + 3}: row has {2 * b + 23} entries, expected"):
+        load(wide)
+    with pytest.raises(NetworkFormatError, match="matrix is 151x150, expected square"):
+        load(matrix(151, 150))
