@@ -9,7 +9,12 @@ coordinates picks the method:
 - none (the asocial rule, or a pin of a one-parameter rule): one evaluation;
 - one (simple, proportional, the nuisance of a two-parameter profile): a
   fixed scan of 11 points over +-10 internal units around the start, stepped
-  outward while the best point is at the edge, then a bounded Brent polish;
+  outward while the best point is at the edge, then a polish of each local
+  minimum of the scan between its neighbours: safeguarded Newton steps when
+  the objective carries its first and second derivatives along the
+  coordinate (the built-in simple, proportional and freqdep rules, see
+  `nll_objective`), else bounded Brent (threshold, custom and ``full_rate``
+  rules);
 - two or more: a local search from the start plus ``restarts`` jittered
   restarts; the best end point wins, with ties broken toward the earlier
   start so results are reproducible.  The search is BFGS when the objective
@@ -33,7 +38,8 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
-from .oada import DiffusionData, EventTable, _nll, _nll_and_gradient, aicc, build_event_table
+from .oada import (DiffusionData, EventTable, _nll, _nll_along, _nll_and_gradient, aicc,
+                   build_event_table)
 from .rules import TransmissionRule
 
 __all__ = [
@@ -59,6 +65,10 @@ SCAN_HALF_WIDTH = 10.0
 SCAN_POINTS = 11
 SCAN_MAX_STEPS = 30  # outward steps of the grid spacing past the grid's edge
 POLISH_XATOL = 1e-5
+# Newton polish (`_newton_polish`): it stops once it can gain less than
+# POLISH_RTOL * max(1, |value|), or after POLISH_MAX_STEPS steps
+POLISH_RTOL = 1e-12
+POLISH_MAX_STEPS = 60
 # finite-difference Hessian step: relative to each coordinate, with a floor
 HESSIAN_REL_STEP = 1e-4
 HESSIAN_ABS_FLOOR = 1e-6
@@ -75,9 +85,11 @@ class FitConfig:
     """Optimizer settings.
 
     ``start``/``lower``/``upper`` default to the rule's own values; for a
-    one-parameter rule ``start`` is the centre of the scan.  ``restarts``
-    and ``seed`` set the multistart and so act only on rules with two or
-    more parameters: BFGS for the freqdep rule, Nelder-Mead for the others.
+    one-parameter rule ``start`` is the centre of the scan, whose polish
+    (Newton steps for the built-in rules, bounded Brent for custom ones)
+    takes no setting.  ``restarts`` and ``seed`` set the multistart and so
+    act only on rules with two or more parameters: BFGS for the freqdep
+    rule, Nelder-Mead for the others.
     ``tolerance`` and ``max_evals`` act on Nelder-Mead only; BFGS stops at
     scipy's gradient tolerance.  The jitter applied to restarts is
     multiplicative U[0.25, 4] on the distance from one-sided bounds
@@ -228,6 +240,21 @@ class BoxTransform:
                 d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p)
         return d
 
+    def d2x_dz2(self, z) -> np.ndarray:
+        """Second derivative of `to_external` at ``z``, per coordinate."""
+        z = np.asarray(z, dtype=float)
+        d = np.empty_like(z)
+        for i, kind in enumerate(self.kinds):
+            if kind == self._FREE:
+                d[i] = 0.0
+            elif kind in (self._LOWER, self._UPPER):
+                bend = math.exp(z[i]) if z[i] < 700.0 else 0.0
+                d[i] = bend if kind == self._LOWER else -bend
+            else:
+                p = expit(z[i])
+                d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p) * (1.0 - 2.0 * p)
+        return d
+
     def nudge_inside(self, x) -> np.ndarray:
         """Move points sitting on (or outside) a bound strictly inside."""
         x = np.asarray(x, dtype=float).copy()
@@ -280,13 +307,17 @@ def minimize_multistart(
     The dimension picks the method.  With no coordinates the objective is
     evaluated once.  With one, `_scan_and_polish` scans a grid around
     ``centre`` (default ``start``) plus ``start`` itself and polishes the
-    best point; ``restarts``, ``tolerance``, ``max_evals`` and ``seed`` are
-    not used.  With two or more, a local search runs from ``start`` plus
+    best point, by Newton steps when ``objective`` carries ``along``
+    ((params, 0) -> (value, first and second derivative), as `nll_objective`
+    gives for the simple, proportional and freqdep rules), else by bounded
+    Brent; ``restarts``, ``tolerance``, ``max_evals`` and ``seed`` are not
+    used.  With two or more, a local search runs from ``start`` plus
     ``restarts`` jittered restarts, all on the transformed space: BFGS when
     ``objective`` carries ``value_and_grad`` (params -> (value, gradient),
     as `nll_objective` gives for the freqdep rule), else Nelder-Mead, which
     alone uses ``tolerance`` and ``max_evals``.  ``n_evals`` counts
-    objective evaluations, a value-and-gradient evaluation as one.
+    objective evaluations, a value-and-gradient or a value-and-derivatives
+    evaluation as one.
 
     The answer never has a higher objective than the start point, which is
     kept when a run goes astray or none finds a finite value; the winner is
@@ -302,7 +333,8 @@ def minimize_multistart(
     if k == 1:
         zc = z0 if centre is None else transform.to_internal(
             transform.nudge_inside(np.asarray(centre, dtype=float)))
-        return _scan_and_polish(obj, transform, float(z0[0]), float(zc[0]))
+        return _scan_and_polish(obj, getattr(objective, "along", None), transform,
+                                float(z0[0]), float(zc[0]))
 
     rng = np.random.default_rng(seed)
     z_starts = [z0]
@@ -379,7 +411,7 @@ def _bfgs(value_and_grad, transform: BoxTransform, z_init):
     return f_init, res.x, float(res.fun), bool(res.success), n_evals
 
 
-def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: float):
+def _scan_and_polish(obj, along, transform: BoxTransform, z_start: float, z_centre: float):
     """One-coordinate minimization in the internal coordinate: scan, then polish.
 
     Scans `SCAN_POINTS` points over +-`SCAN_HALF_WIDTH` around ``z_centre``
@@ -387,9 +419,14 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
     best point sits at the edge of the scanned points (at most
     `SCAN_MAX_STEPS` times), so an objective that falls towards a limit (a
     bound, or a parameter running off to infinity) is followed rather than
-    stopped in a shallow local minimum.  Bounded Brent then polishes between
-    the best point's two neighbours; the result is never worse than the best
-    scanned point, hence never worse than the start.
+    stopped in a shallow local minimum.  Each local minimum of the scanned
+    values, the best point first, is then polished between its two
+    neighbours, so a basin whose scanned points all lie above a far plateau
+    is still searched: `_newton_polish` when ``along`` gives the
+    objective's first and second derivatives (``along(x, 0) -> (value,
+    first, second)``), else bounded Brent.  The lowest polished value wins,
+    the best point's on ties; it is never worse than the best scanned
+    point, hence never worse than the start.
     """
 
     def at(z):
@@ -412,17 +449,116 @@ def _scan_and_polish(obj, transform: BoxTransform, z_start: float, z_centre: flo
     best = int(np.argmin(fs))
     z_best, f_best = zs[best], fs[best]
     if math.isfinite(f_best):
-        res = minimize_scalar(
-            at,
-            bounds=(zs[max(best - 1, 0)], zs[min(best + 1, len(zs) - 1)]),
-            method="bounded",
-            options={"xatol": POLISH_XATOL},
-        )
-        n_evals += res.nfev
-        if res.fun < f_best:
-            z_best, f_best = float(res.x), float(res.fun)
+        last = len(zs) - 1
+        dips = [best] + [i for i in range(len(zs)) if i != best
+                         and (i == 0 or fs[i] < fs[i - 1]) and (i == last or fs[i] < fs[i + 1])]
+        for i in dips:
+            bracket = zs[max(i - 1, 0)], zs[min(i + 1, last)]
+            if along is not None:
+                z, f, n_polish = _newton_polish(along, at, transform, *bracket, zs[i], fs[i])
+            else:
+                z, f, n_polish = _brent_polish(at, *bracket, zs[i], fs[i])
+            n_evals += n_polish
+            if f < f_best:
+                z_best, f_best = z, f
     x_best = transform.to_external([z_best])
     return MultistartResult(x_best, f_best, math.isfinite(f_best), n_evals)
+
+
+def _brent_polish(at, lo: float, hi: float, z: float, f: float):
+    """Bounded Brent on [``lo``, ``hi``], for objectives without derivatives:
+    (point, value, evaluations), the point ``z`` (value ``f``) unless Brent
+    finds a lower value."""
+    res = minimize_scalar(at, bounds=(lo, hi), method="bounded", options={"xatol": POLISH_XATOL})
+    if res.fun < f:
+        return float(res.x), float(res.fun), res.nfev
+    return z, f, res.nfev
+
+
+def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: float,
+                   f: float):
+    """Safeguarded Newton minimization in the internal coordinate, from the
+    scanned point ``z`` (value ``f``) inside the bracket [``lo``, ``hi``],
+    whose ends are no lower: (point, value, evaluations).
+
+    The sign of the derivative at ``z`` rules out the part of the bracket
+    behind it, so Newton steps (`_newton_steps`) descend into the other
+    part.  A basin behind a rise can hide in the part ruled out, so its
+    midpoint is probed by ``at`` (the plain value); when it is lower than
+    ``f``, that part is polished from there as well, and the lower end
+    point wins.  The value never rises above ``f``.
+    """
+
+    def derivatives(z):
+        try:
+            value, first, second = along(transform.to_external([z]), 0)
+        except _OBJECTIVE_ERRORS:
+            return math.inf, math.nan, math.nan
+        slope, bend = float(transform.dx_dz([z])[0]), float(transform.d2x_dz2([z])[0])
+        return value, first * slope, second * slope * slope + first * bend
+
+    _, g, h = derivatives(z)
+    z_end, f_end, n_steps = _newton_steps(derivatives, lo, hi, z, f, g, h)
+    n_evals = 1 + n_steps
+    behind = (lo, z) if g < 0 else (z, hi) if g > 0 else None
+    if behind is not None and behind[1] - behind[0] >= POLISH_XATOL:
+        mid = 0.5 * (behind[0] + behind[1])
+        f_mid = at(mid)
+        n_evals += 1
+        if f_mid < f:
+            _, g_mid, h_mid = derivatives(mid)
+            z_other, f_other, n_steps = _newton_steps(derivatives, *behind, mid, f_mid, g_mid,
+                                                      h_mid)
+            n_evals += 1 + n_steps
+            if f_other < f_end:
+                z_end, f_end = z_other, f_other
+    return z_end, f_end, n_evals
+
+
+def _newton_steps(derivatives, lo: float, hi: float, z: float, f: float, g: float, h: float):
+    """Newton steps from ``z`` (value ``f``, first and second derivatives
+    ``g`` and ``h``) inside [``lo``, ``hi``]: (point, value, evaluations).
+
+    The sign of the derivative at the best point moves the bracket's end
+    behind it to that point, so the best point is an end of the bracket,
+    the objective falls from it into the bracket, and the other end is no
+    lower: a local minimum lies inside.  A Newton step that leaves the
+    bracket, or meets non-positive curvature, bisects instead; a point no
+    better than the best becomes the end on its side.  It stops once the
+    bracket is narrower than `POLISH_XATOL`, or once neither the Newton
+    decrement ``g**2 / (2h)`` nor, on a monotone plateau, ``|g|`` times the
+    bracket width promises a gain of `POLISH_RTOL` relative to the value.
+    Only better points are taken, so the value never rises above ``f``.
+    """
+    n_evals = 0
+    for _ in range(POLISH_MAX_STEPS):
+        if g > 0:
+            hi = z
+        elif g < 0:
+            lo = z
+        else:  # zero or nan
+            break
+        width = hi - lo
+        tol = POLISH_RTOL * max(1.0, abs(f))
+        if width < POLISH_XATOL or abs(g) * width < tol:
+            break
+        if h > 0:
+            if g * g < 2.0 * h * tol:
+                break
+            z_new = z - g / h
+            if not lo < z_new < hi:
+                z_new = 0.5 * (lo + hi)
+        else:
+            z_new = 0.5 * (lo + hi)
+        f_new, g_new, h_new = derivatives(z_new)
+        n_evals += 1
+        if f_new < f:
+            z, f, g, h = z_new, f_new, g_new, h_new
+        elif z_new > z:
+            hi = z_new
+        else:
+            lo = z_new
+    return z, f, n_evals
 
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
@@ -432,7 +568,10 @@ def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.nda
     rates have a ``shape`` (the built-in simple, proportional and freqdep
     rules), the objective keeps the event sums of the shapes it met, so an
     evaluation that moves only s costs O(D) (`oada._nll`), and it also
-    carries ``value_and_grad``: params -> (NLL, its gradient)."""
+    carries ``value_and_grad``: params -> (NLL, its gradient), and
+    ``along``: (params, index) -> (NLL, its first and second derivatives
+    along parameter ``index``), which `minimize_multistart` uses to polish
+    a one-coordinate search (`oada._nll_along`)."""
     run_rates = rule.run_rates(table.run_w, table.run_total)
     cache: dict = {}
 
@@ -442,6 +581,8 @@ def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.nda
     if hasattr(run_rates, "shape"):
         objective.value_and_grad = lambda p: _nll_and_gradient(
             rule, np.asarray(p, dtype=float), table, run_rates, cache)
+        objective.along = lambda p, index: _nll_along(
+            rule, np.asarray(p, dtype=float), index, table, run_rates, cache)
     return objective
 
 
@@ -473,7 +614,9 @@ def hessian_standard_errors(
     for i in range(k):
         ei = np.zeros(k)
         ei[i] = h[i]
-        hess[i, i] = (obj(x + ei) - 2.0 * f0 + obj(x - ei)) / h[i] ** 2
+        # divided by each step in turn: the square of a step past 1e154
+        # would overflow, where the quotient only underflows
+        hess[i, i] = (obj(x + ei) - 2.0 * f0 + obj(x - ei)) / h[i] / h[i]
     for i in range(k):
         for j in range(i + 1, k):
             ei = np.zeros(k)
@@ -484,7 +627,7 @@ def hessian_standard_errors(
             fpm = obj(x + ei - ej)
             fmp = obj(x - ei + ej)
             fmm = obj(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i]) / h[j]
     if not np.isfinite(hess).all():
         return None
     try:
@@ -535,7 +678,8 @@ def fit_oada(
     fixed inputs and config.  ``n_evals`` counts every NLL evaluation: the
     one of a rule with no free parameters, scan plus polish for one
     parameter, all starts for more, where a BFGS evaluation of the NLL and
-    its gradient counts as one.  Raises ValueError when no point the
+    its gradient, or a Newton evaluation of the NLL and its first and
+    second derivatives, counts as one.  Raises ValueError when no point the
     search visited gives a finite NLL (the rule's rate is invalid there).
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)

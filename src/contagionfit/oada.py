@@ -44,7 +44,9 @@ again) costs O(D), and one that moves f costs O(runs + D).  Other rules
 pass their rates as ``x`` with s = 1, an O(runs + D) evaluation.  The
 gradient comes from the same halves: in s it is O(D), in the shape's
 parameters it is the adjoint of the prefix sum, O(runs + D) more, and fits
-use it (`fit.nll_objective`).
+use it (`fit.nll_objective`).  So does the first and second derivative
+along one parameter (`_nll_along`), which one-coordinate searches use: O(D)
+along s, two more O(runs) passes along a shape parameter.
 """
 
 from __future__ import annotations
@@ -436,6 +438,42 @@ def _nll_and_gradient(rule: TransmissionRule, params: np.ndarray, table: EventTa
             adjoint[table.acquirer_run] -= inv_acq
             grad[1:] = s * (adjoint @ dx)
     return val, grad
+
+
+def _nll_along(rule: TransmissionRule, params: np.ndarray, index: int, table: EventTable,
+               run_rates, cache: dict) -> tuple[float, float, float]:
+    """NLL with its first and second derivatives along parameter ``index``,
+    for rates ``s * x`` whose ``run_rates`` has a ``shape`` (and, for
+    ``index > 0``, a ``shape_along``).  The NLL is the one `_nll` returns,
+    from the same cache, with the same checks.
+
+    Along s it is O(D): ``Σ C/denom − Σ a/(1 + s·a)`` and
+    ``Σ a²/(1 + s·a)² − Σ C²/denom²``.  Along a shape parameter it costs
+    two more `_run_pieces` passes, over the shape's first and second
+    derivatives: with ``C' = s·pieces(x')`` and ``a' = s·x'`` at the
+    acquirer (likewise ``''``), the derivatives are
+    ``Σ C'/denom − Σ a'/(1 + s·a)`` and
+    ``Σ C''/denom − Σ (C'/denom)² − Σ a''/(1 + s·a) + Σ (a'/(1 + s·a))²``.
+    """
+    s, rest = params[0], params[1:]
+    if index == 0:
+        (c, a), smallest, largest = _shape_pieces(rule, rest, table, run_rates, cache)
+    else:
+        x, dx, d2x = run_rates.shape_along(rest, index - 1)
+        (c, a), smallest, largest = _shape_pieces(rule, rest, table, run_rates, cache, shape=x)
+    _check_scale(rule, s, smallest, largest)
+    val, denom = _scaled_nll(s, (c, a), table)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        acq_denom = 1.0 + s * a
+        if index == 0:
+            u, v = c / denom, a / acq_denom
+            return val, float(u.sum() - v.sum()), float(v @ v - u @ u)
+        c1, a1 = _run_pieces(dx, table)
+        c2, a2 = _run_pieces(d2x, table)
+        u, v = s * c1 / denom, s * a1 / acq_denom
+        first = float(u.sum() - v.sum())
+        second = float((s * c2 / denom).sum() - u @ u - (s * a2 / acq_denom).sum() + v @ v)
+    return val, first, second
 
 
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:

@@ -24,10 +24,13 @@ parameters with one `fit.minimize_multistart` call, so the number of free
 parameters picks the method.  A one-parameter rule's profile is its NLL at
 the pin.  A two-parameter rule scans its one nuisance, centred on the fit
 MLE's value, from the warm start of this side of the MLE, and polishes with
-bounded Brent; the outward steps of the scan follow a profile that falls
-towards a limit (f -> infinity, a step rule).  Rules with three or more
-parameters run Nelder-Mead multistart (`ProfileConfig.inner_restarts`,
-`inner_max_evals` and `seed` act only on them).
+safeguarded Newton steps on the NLL's first and second derivatives along
+the nuisance (freqdep; each pin passes on the objective's ``along`` for its
+free coordinate), or with bounded Brent (threshold); the outward steps of
+the scan follow a profile that falls towards a limit (f -> infinity, a step
+rule).  Rules with three or more parameters run Nelder-Mead multistart
+(`ProfileConfig.inner_restarts`, `inner_max_evals` and `seed` act only on
+them).
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class ProfileConfig:
     ``inner_restarts``, ``inner_max_evals`` and ``seed`` set the Nelder-Mead
     multistart of the inner fit, which only rules with three or more
     parameters use; two-parameter rules minimize their one nuisance by a
-    fixed scan and a bounded Brent polish (see the module docstring).
+    fixed scan and a Newton polish (bounded Brent for threshold), which
+    take no setting (see the module docstring).
     """
 
     cutoff: float = DEFAULT_CUTOFF
@@ -149,7 +153,9 @@ class _Profile:
 
     Pins parameter ``index`` and minimizes the NLL over the others in the box
     [``lower``, ``upper``] with one `minimize_multistart` call per pin, from
-    the free part of ``start``, which also centres a one-nuisance scan.  Pins
+    the free part of ``start``, which also centres a one-nuisance scan; each
+    pin carries the objective's ``along`` for its free coordinates, when the
+    objective has it, so a one-nuisance search ends in a Newton polish.  Pins
     on each side of ``centre`` keep their own warm start, so one instance
     serves both directions of an interval search and neither inherits the
     other's optimum.
@@ -157,6 +163,7 @@ class _Profile:
 
     def __init__(self, table, rule, index, lower, upper, start, centre, cfg):
         self.objective = nll_objective(rule, table)
+        self.along = getattr(self.objective, "along", None)
         self.index = index
         self.centre = centre
         self.cfg = cfg
@@ -169,9 +176,15 @@ class _Profile:
         side = value > self.centre
         i = self.index
 
-        def pinned(free):
-            return self.objective(np.concatenate((free[:i], [value], free[i:])))
+        def full(free):
+            return np.concatenate((free[:i], [value], free[i:]))
 
+        def pinned(free):
+            return self.objective(full(free))
+
+        if self.along is not None:
+            # free coordinate j is parameter j, or j + 1 past the pinned one
+            pinned.along = lambda free, j: self.along(full(free), j + (j >= i))
         ms = minimize_multistart(
             pinned,
             self.starts[side],
@@ -200,10 +213,11 @@ def profile_nll(
 
     For single-parameter rules this is just the NLL at the pinned value.
     The inner search starts from the fit MLE's free components (the rule's
-    default start without a fit): a scan and Brent polish of the nuisance
-    for two-parameter rules, Nelder-Mead multistart for larger ones.  Pins
-    outside the parameter box raise ValueError.  The box is the one ``fit``
-    searched (`FitResult.box`) when a fit is given, else the rule's own.
+    default start without a fit): a scan and a Newton polish of the nuisance
+    for two-parameter rules (bounded Brent for threshold), Nelder-Mead
+    multistart for larger ones.  Pins outside the parameter box raise
+    ValueError.  The box is the one ``fit`` searched (`FitResult.box`) when
+    a fit is given, else the rule's own.
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)
     k = rule.n_params

@@ -92,9 +92,12 @@ class TransmissionRule:
         rates, ``rates(params) == params[0] * x`` with ``x`` independent of
         ``params[0]``, the callable may also have the methods
         ``shape(rest) -> x`` and ``shape_jacobian(rest) -> (x, (R, k - 1)
-        derivatives of x in rest)``, where ``rest = params[1:]``; the
-        likelihood then caches each shape's event sums and gives fits a
-        gradient (the built-in simple, proportional and freqdep rules)
+        derivatives of x in rest)``, where ``rest = params[1:]``, and, when
+        ``rest`` is not empty, ``shape_along(rest, j) -> (x, first and
+        second derivatives of x in rest[j])``; the likelihood then caches
+        each shape's event sums and gives fits a gradient and a
+        one-coordinate second derivative (the built-in simple, proportional
+        and freqdep rules)
     full_rate : general evaluator used when no fast path exists
     size_param : name of the parameter that switches social learning off at
         0; other parameters are non-identifiable when it is truly 0
@@ -216,7 +219,7 @@ def _freqdep_prepare(w, tot):
 class _FreqdepRates:
     """Freqdep rates ``s * x`` on fixed sums, from their prepared log ratio:
     the shape ``x`` is the informed share, a function of f alone, and its
-    derivative in f comes from the same log ratio."""
+    first and second derivatives in f come from the same log ratio."""
 
     def __init__(self, log_ratio):
         self.log_ratio = log_ratio
@@ -242,9 +245,18 @@ class _FreqdepRates:
     def shape(self, rest):
         return self._share(rest[0])
 
+    def _share_and_slope(self, f):
+        share = self._share(f)
+        return share, -self._finite_ratio * share * (1.0 - share)
+
     def shape_jacobian(self, rest):
-        share = self._share(rest[0])
-        return share, (-self._finite_ratio * share * (1.0 - share))[:, None]
+        share, slope = self._share_and_slope(rest[0])
+        return share, slope[:, None]
+
+    def shape_along(self, rest, j):
+        # d2x/df2 = lr^2 * x * (1 - x) * (1 - 2x) = -lr * slope * (1 - 2x)
+        share, slope = self._share_and_slope(rest[0])
+        return share, slope, -self._finite_ratio * slope * (1.0 - 2.0 * share)
 
 
 def _freqdep_sums(params, w, tot):

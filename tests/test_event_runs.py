@@ -38,6 +38,11 @@ NLL_RTOL = 1e-10
 GRAD_STEP = 1e-6
 GRAD_RTOL = 1e-5
 GRAD_ATOL = 1e-7
+# second differences of the twin NLL: relative step, and agreement (the
+# difference's round-off is about 4e-16 * |NLL| / step^2, under 1e-5 here)
+CURV_STEP = 1e-4
+CURV_RTOL = 1e-4
+CURV_ATOL = 1e-5
 SATURATION_RTOL = 1e-12
 PROB_SUM_TOL = 1e-10
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -187,6 +192,37 @@ def test_freqdep_gradient_matches_central_differences(diffusion, s, f):
         down[i] -= h
         central = (twin_nll("freqdep", up, w, order) - twin_nll("freqdep", down, w, order)) / (2 * h)
         assert grad[i] == pytest.approx(central, rel=GRAD_RTOL, abs=GRAD_ATOL), i
+
+
+@PROPERTY_SETTINGS
+@given(diffusions(),
+       st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e3)),
+       st.one_of(st.just(0.0), st.just(0.2), st.floats(0.2, 20.0)))
+def test_one_coordinate_derivatives_match_central_differences(diffusion, s, f):
+    # the objective's value and its first and second derivatives along one
+    # parameter (simple and proportional in s, freqdep in s and in f) against
+    # the event-by-event twin and its central and second differences; the
+    # value is the plain NLL, bit for bit
+    w, order = diffusion
+    table = build_event_table(DiffusionData(Network(w), order))
+    for kind, params, index in (("simple", [s], 0), ("proportional", [s], 0),
+                                ("freqdep", [s, f], 0), ("freqdep", [s, f], 1)):
+        rule = frequency_dependent_rule(f_lower=0.0) if kind == "freqdep" else rule_from_name(kind)
+        value, first, second = nll_objective(rule, table).along(np.array(params), index)
+        assert value == negative_log_likelihood(rule, params, table)
+
+        def twin(shift):
+            moved = list(params)
+            moved[index] += shift
+            return twin_nll(kind, moved, w, order)
+
+        x = params[index]
+        h = GRAD_STEP * max(1.0, x)
+        central = (twin(h) - twin(-h)) / (2 * h)
+        assert first == pytest.approx(central, rel=GRAD_RTOL, abs=GRAD_ATOL), (kind, index)
+        h = CURV_STEP * max(1.0, x)
+        central = (twin(h) - 2.0 * twin(0.0) + twin(-h)) / (h * h)
+        assert second == pytest.approx(central, rel=CURV_RTOL, abs=CURV_ATOL), (kind, index)
 
 
 @PROPERTY_SETTINGS

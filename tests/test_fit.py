@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from contagionfit import (
     hessian_standard_errors,
     minimize_multistart,
     negative_log_likelihood,
+    profile_nll,
     proportional_rule,
     simple_rule,
     simulate_diffusion,
@@ -63,6 +65,16 @@ def test_box_transform_nudge_inside():
     # interior points pass through untouched
     y = tr.nudge_inside(np.array([1.0, 5.0]))
     assert np.array_equal(y, [1.0, 5.0])
+
+
+def test_box_transform_derivatives_match_differences():
+    # first and second derivatives of to_external for all four bound kinds
+    tr = BoxTransform([0.0, -np.inf, -np.inf, -1.0], [np.inf, 2.0, np.inf, 3.0])
+    z, h = np.array([0.7, -0.4, 1.3, 0.9]), 1e-5
+    first = (tr.to_external(z + h) - tr.to_external(z - h)) / (2 * h)
+    second = (tr.dx_dz(z + h) - tr.dx_dz(z - h)) / (2 * h)
+    assert np.allclose(tr.dx_dz(z), first, rtol=1e-8, atol=1e-10)
+    assert np.allclose(tr.d2x_dz2(z), second, rtol=1e-8, atol=1e-10)
 
 
 def test_box_transform_validates():
@@ -262,6 +274,41 @@ def test_one_parameter_fit_reaches_dense_grid_minimum(fit):
         assert fit.boundary_flags == (True,)
 
 
+def record_polish_points(monkeypatch) -> list[float]:
+    """Record the (one-coordinate) point of every Newton polish evaluation."""
+    points = []
+    polish = fit_module._newton_polish
+
+    def recording(along, *args):
+        return polish(lambda x, j: points.append(float(x[0])) or along(x, j), *args)
+
+    monkeypatch.setattr(fit_module, "_newton_polish", recording)
+    return points
+
+
+def test_newton_polish_in_a_two_sided_box_reaches_dense_grid_minimum(monkeypatch):
+    # a simple fit in s in [0, 2]
+    points = record_polish_points(monkeypatch)
+    table = _simple_dataset(seed=11)
+    fit = fit_oada(table, simple_rule(), FitConfig(upper=(2.0,)))
+    obj = nll_objective(simple_rule(), table)
+    assert points and all(0.0 < x < 2.0 for x in points)
+    assert fit.nll <= min(obj(np.array([s])) for s in np.linspace(0.0, 2.0, 20001)) + 1e-9
+    # s-profile pins of a freqdep fit with f in [0, 3]: the polish runs over f
+    rule = frequency_dependent_rule(f_lower=0.0)
+    net = generate_network(GeneratorConfig(n=60, seed=8))
+    data, _ = simulate_diffusion(net, rule, [10.0, 2.0], seed=1008)
+    table = build_event_table(data)
+    fit = fit_oada(table, rule, FitConfig(upper=(np.inf, 3.0)))
+    obj = nll_objective(rule, table)
+    for ratio in (0.5, 2.0):
+        points.clear()
+        s = ratio * fit.mle[0]
+        got = profile_nll(table, rule, 0, s, fit=fit)
+        assert points and all(0.0 < f < 3.0 for f in points)
+        assert got <= min(obj(np.array([s, f])) for f in np.linspace(0.0, 3.0, 30001)) + 1e-9
+
+
 # ---------------------------------------------------------- standard errors
 
 def test_hessian_se_quadratic_oracle():
@@ -276,6 +323,13 @@ def test_hessian_se_quadratic_oracle():
     oracle = np.sqrt(np.diag(np.linalg.inv(h)))
     assert se is not None
     assert np.allclose(se, oracle, rtol=SE_ORACLE_RTOL)
+
+
+def test_hessian_se_unavailable_for_a_runaway_parameter():
+    # a step of 1e-4 * 1e300 squared to inf, with a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hessian_standard_errors(lambda p: float(np.log(p[0])), [1e300]) is None
 
 
 def test_hessian_se_rejects_non_pd():

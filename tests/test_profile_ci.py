@@ -31,6 +31,8 @@ from contagionfit import (
 from contagionfit import oada
 from contagionfit.profile_ci import FIRST_OFFSET_FLOOR, FIRST_OFFSET_FRAC
 
+profile_ci_module = importlib.import_module("contagionfit.profile_ci")
+
 QUAD_ENDPOINT_TOL = 1e-3
 ENDPOINT_TARGET_RTOL = 2e-4
 # slack on a dense-grid profile value at an interval endpoint
@@ -294,7 +296,7 @@ def test_profile_of_f_pins_zero_in_a_box_reaching_it():
     ci = profile_ci(fit, 1)
     assert dict(ci.profile_points)[0.0] == pytest.approx(42.46695246281445, rel=1e-12)
     assert (ci.lower, ci.upper) == pytest.approx(
-        (0.10168157296045485, 47.71791566885574), rel=1e-12)
+        (0.10168157296045485, 47.71791566776511), rel=1e-12)
     for endpoint in (ci.lower, ci.upper):
         at_endpoint = dense_profile(fit.table, frequency_dependent_rule(f_lower=0.0), 1, endpoint)
         assert at_endpoint == pytest.approx(fit.nll + ci.cutoff, abs=DENSE_PROFILE_TOL)
@@ -321,12 +323,11 @@ def test_profile_is_freed_when_its_interval_is_done(freqdep_fit):
     # scipy's brentq keeps its callable in a reference cycle; the profile,
     # with its objective and the event sums it caches, must be freed when
     # profile_ci returns, not at the next cyclic garbage collection
-    profile_module = importlib.import_module("contagionfit.profile_ci")
     gc.collect()
     gc.disable()
     try:
         profile_ci(freqdep_fit, 0)
-        left = [o for o in gc.get_objects() if isinstance(o, profile_module._Profile)]
+        left = [o for o in gc.get_objects() if isinstance(o, profile_ci_module._Profile)]
     finally:
         gc.enable()
     assert left == []
@@ -406,10 +407,14 @@ def test_fit_finds_the_far_basin_of_pair_1010():
 # evaluation counts do not depend on the hardware: on the coverage panel
 # (k < 5) the gradient fits took 107-129 evaluations each, against 903-1019
 # for Nelder-Mead, and the ten intervals 252 profile points in all, against
-# 382 with bisection.  The fits and intervals made 1 849 O(runs) passes
-# (`oada._run_pieces`) in all, against 7 103 when every evaluation made one
+# 382 with bisection.  The pins of those points took 3 966 evaluations with
+# the Newton polish of the one-coordinate search, against 6 573 with bounded
+# Brent.  The fits and intervals made 1 571 O(runs) passes
+# (`oada._run_pieces`) in all, against 1 849 with bounded Brent and 7 103
+# when every evaluation made one
 PANEL_EVALS_PER_FIT = 200
 PANEL_PROFILE_POINTS = 300
+PANEL_PIN_EVALS = 4500
 PANEL_PIECES_PASSES = 2500
 
 
@@ -417,6 +422,15 @@ def test_coverage_panel_evaluation_counts(monkeypatch):
     passes = []
     run_pieces = oada._run_pieces
     monkeypatch.setattr(oada, "_run_pieces", lambda *args: passes.append(1) or run_pieces(*args))
+    pin_evals = []
+    minimize = profile_ci_module.minimize_multistart
+
+    def counted(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        pin_evals.append(result.n_evals)
+        return result
+
+    monkeypatch.setattr(profile_ci_module, "minimize_multistart", counted)
     points = 0
     for k in range(5):
         fit = coverage_cell_fit(k)
@@ -426,6 +440,7 @@ def test_coverage_panel_evaluation_counts(monkeypatch):
             assert len(set(pins)) == len(pins), (k, i)  # no pin evaluated twice
             points += len(pins)
     assert points < PANEL_PROFILE_POINTS
+    assert sum(pin_evals) < PANEL_PIN_EVALS
     assert len(passes) < PANEL_PIECES_PASSES
 
 
