@@ -6,17 +6,19 @@ is the strength of the connection *from j to i*, i.e. how strongly individual
 influence ``i``.  All indices in this package are 0-based; file formats and
 the command line use 1-based labels (see `load_network_csv` / the CLI docs).
 
-Networks are immutable once constructed: the weight array is copied (the
-CSV loader hands over the one array it parsed into) and marked read-only, so
-one network can safely be shared across fits, simulator runs and worker
-processes.  `load_network_csv` is the one file reader: `numpy.loadtxt` reads
-the file `CSV_BLOCK_ROWS` lines at a time, and only a block it refuses is
-read again cell by cell, to accept quoted cells or name the bad line.
+Networks are immutable once constructed: the weight array is a private
+copy (the CSV loader hands over the one array it parsed into) marked
+read-only, so one network can safely be shared across fits, simulator runs
+and worker processes, and `require_valid` checks it once.
+`load_network_csv` is the one file reader: `numpy.loadtxt` reads the file
+`CSV_BLOCK_ROWS` lines at a time, and only a block it refuses is read again
+cell by cell, to accept quoted cells or name the bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -74,6 +76,11 @@ class Network:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @functools.cached_property
+    def _problems(self) -> list[str]:
+        """`validate`'s list for these weights, which never change."""
+        return validate(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -144,7 +151,7 @@ def validate(network: Network) -> list[str]:
             f"({np.count_nonzero(neg)} entries affected)"
         )
     diag = np.diagonal(w)
-    nz = np.flatnonzero(np.nan_to_num(diag, nan=1.0) != 0.0)
+    nz = np.flatnonzero(diag != 0.0)  # a NaN counts: nan != 0.0
     if nz.size:
         problems.append(
             f"nonzero diagonal (self-connection) for individual {nz[0] + 1} "
@@ -154,8 +161,9 @@ def validate(network: Network) -> list[str]:
 
 
 def require_valid(network: Network) -> None:
-    """Raise ValueError listing all invariant violations, if any."""
-    problems = validate(network)
+    """Raise ValueError listing all invariant violations, if any.  A
+    network's weights are read-only, so it is validated once."""
+    problems = network._problems
     if problems:
         raise ValueError("invalid network: " + "; ".join(problems))
 

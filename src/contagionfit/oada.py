@@ -19,10 +19,14 @@ no censoring term for individuals that never acquired.
 ``(w_informed, total)`` change only when one of its in-neighbours acquires,
 so each individual's time as a naive individual splits into a few stretches
 of events with constant sums, and every built-in rate is constant along a
-stretch.  An objective asks the rule once for ``params -> run rates`` on
-the table's run sums (`TransmissionRule.run_rates`: built-in rules other
-than asocial and threshold prepare their parameter-free pieces there,
-other rules go through ``sums_rate``).  Runs number at most n + the number
+stretch.  `build_event_table` finds the stretches without stepping through
+the events: each individual's linked in-neighbours, sorted by acquisition
+time, start its runs, and one cumulative sum along their weights gives the
+same sequential sums as the simulator's event-by-event walk.  An objective
+asks the rule once for ``params -> run rates`` on the table's run sums
+(`TransmissionRule.run_rates`: built-in rules other than asocial and
+threshold prepare their parameter-free pieces there, other rules go
+through ``sums_rate``).  Runs number at most n + the number
 of edges whose source acquires before its target: about 11 000 for
 n = 1000 at 2 % density, against the 500 500 (event, naive individual)
 slots of a complete diffusion.  Rules with only ``full_rate`` walk the
@@ -97,9 +101,9 @@ class DiffusionData:
                 f"order references individual {bad + 1} (1-based) but the "
                 f"network has {n} individuals"
             )
-        uniq, counts = np.unique(order, return_counts=True)
-        if (counts > 1).any():
-            dup = uniq[counts > 1][0]
+        repeated = np.flatnonzero(np.bincount(order, minlength=n) > 1)
+        if repeated.size:
+            dup = repeated[0]
             raise ValueError(
                 f"individual {dup + 1} (1-based) appears more than once in order"
             )
@@ -131,13 +135,15 @@ class EventTable:
     acquires or the individual itself acquires.  ``run_prev[r]`` is the run
     of the same individual that ``r`` replaces (-1 for the runs starting at
     event 0, which are runs ``0..n-1`` of individuals ``0..n-1``); runs are
-    numbered in order of ``run_start``.  The sums are recorded from the
-    naive-set state the simulator also steps (``_NaiveSums``): once every
-    in-neighbour is informed, ``run_w`` is exactly ``run_total``, so the
-    weight to naive individuals ``run_total - run_w`` is exactly 0, with no
-    summation residue.  ``acquirer_run[k]`` is the run of event k's
-    acquirer and ``n_naive[k]`` the size of the naive set just before
-    event k.
+    numbered in order of ``run_start`` and then of individual.  The runs
+    are built from each individual's linked in-neighbours sorted by
+    acquisition time, and ``run_w`` is the sequential sum of their weights
+    in that order, bit for bit the sum of the naive-set state the simulator
+    steps event by event (``_NaiveSums``): once every in-neighbour is
+    informed, ``run_w`` is exactly ``run_total``, so the weight to naive
+    individuals ``run_total - run_w`` is exactly 0, with no summation
+    residue.  ``acquirer_run[k]`` is the run of event k's acquirer and
+    ``n_naive[k]`` the size of the naive set just before event k.
 
     Event k's denominator is ``n_naive[k] + S_k``, where ``S_k`` sums the
     rates of the runs present at k.  The run rates come from the rule's
@@ -235,10 +241,10 @@ class EventTable:
 
 class _NaiveSums:
     """The naive mask, and each naive individual's ``w_informed`` and
-    ``totals``, stepped one acquisition at a time by the event table, the
-    generic likelihood and the simulator alike.  Naive in-neighbours are
+    ``totals``, stepped one acquisition at a time by the simulator, its
+    trace and the generic likelihood alike.  Naive in-neighbours are
     counted, and ``w_informed`` snaps to ``totals`` when the count reaches
-    0, so saturation is exact."""
+    0, so saturation is exact; `build_event_table` forms the same sums."""
 
     def __init__(self, network: Network, informed=()):
         self.weights = network.weights
@@ -275,40 +281,64 @@ def _naive_rates(rule: TransmissionRule, params, sums: _NaiveSums) -> tuple[np.n
 
 
 def build_event_table(data: DiffusionData) -> EventTable:
-    """Step the naive-set state through the events and record each naive
-    individual's runs."""
+    """Record each naive individual's runs from the nonzero weights.
+
+    Individual i gets a new run right after each linked in-neighbour
+    acquires, while i is naive and events remain.  Its ``w_informed`` there
+    is the sequential sum of its linked in-neighbours' weights in order of
+    acquisition, one ``cumsum`` along each row of a zero-padded array of
+    those weights: the sum an event-by-event walk forms (adding the 0.0 of
+    the others is exact), snapped to ``totals`` at the last linked
+    in-neighbour.
+    """
     require_valid(data.network)
+    weights = data.network.weights
     n = data.network.n
     order = data.order
     d = order.size
+    totals = weights.sum(axis=1)
+    linked = weights > 0
+    acquired_at = np.full(n, d)
+    acquired_at[order] = np.arange(d)
 
-    sums = _NaiveSums(data.network)
-    current = np.arange(n)            # open run of each individual
-    # run chunks in order of their start; runs 0..n-1 open at event 0
-    who, run_w = [np.arange(n)], [np.zeros(n)]
-    start, prev = [np.zeros(n, dtype=np.int64)], [np.full(n, -1)]
-    acq_run = np.empty(d, dtype=np.int64)
-    n_runs = n
+    # (individual, event) where a linked in-neighbour acquires while the
+    # individual is naive, before the last event; by individual, then event
+    # (with D = 1 there are none, and the divisor only has to be nonzero)
+    starts = linked[:, order[:-1]] & (np.arange(d - 1) < acquired_at[:, None])
+    who, event = np.divmod(np.flatnonzero(starts), max(d - 1, 1))
+    per_row = np.bincount(who, minlength=n)
+    rank = np.arange(who.size) - (np.cumsum(per_row) - per_row)[who]
+    padded = np.zeros((n, per_row.max(initial=0)))
+    padded[who, rank] = weights.take(who * n + order[event])
+    w_informed = np.cumsum(padded, axis=1)[who, rank]
+    saturated = rank == np.count_nonzero(linked, axis=1)[who] - 1
+    w_informed[saturated] = totals[who[saturated]]
 
-    for k, acq in enumerate(order):
-        acq_run[k] = current[acq]
-        nbrs = sums.step(acq).nonzero()[0]
-        if k + 1 == d or nbrs.size == 0:
-            continue
-        who.append(nbrs)
-        run_w.append(sums.w_informed[nbrs])
-        start.append(np.full(nbrs.size, k + 1, dtype=np.int64))
-        prev.append(current[nbrs])
-        current[nbrs] = np.arange(n_runs, n_runs + nbrs.size)
-        n_runs += nbrs.size
+    # runs 0..n-1 start at event 0; the others follow by (start, individual):
+    # a stable sort by event, which numpy does by radix on 16-bit keys
+    m = who.size
+    by_start = np.argsort(event.astype(np.uint16) if d <= 2**16 else event, kind="stable")
+    run_of = np.empty(m, dtype=np.int64)
+    run_of[by_start] = np.arange(n, n + m)
+    # each run replaces its individual's previous one, or its run at event 0
+    first = np.ones(m, dtype=bool)
+    first[1:] = who[1:] != who[:-1]
+    replaced = np.where(first, who, np.roll(run_of, 1))
 
-    who, run_w, start, prev = (np.concatenate(c) for c in (who, run_w, start, prev))
-    end = np.full(n_runs, d, dtype=np.int64)
-    end[acq_run] = np.arange(1, d + 1)
+    run_individual = np.concatenate((np.arange(n), who[by_start]))
+    start = np.concatenate((np.zeros(n, dtype=np.int64), event[by_start] + 1))
+    prev = np.concatenate((np.full(n, -1), replaced[by_start]))
+    end = np.minimum(acquired_at + 1, d)[run_individual]
     end[prev[n:]] = start[n:]
+    latest = np.ones(n + m, dtype=bool)
+    latest[prev[n:]] = False
+    last_run = np.empty(n, dtype=np.int64)
+    last_run[run_individual[latest]] = np.flatnonzero(latest)
     arrays = dict(
-        run_individual=who, run_w=run_w, run_total=sums.totals[who], run_start=start,
-        run_end=end, run_prev=prev, acquirer_run=acq_run, n_naive=n - np.arange(d),
+        run_individual=run_individual,
+        run_w=np.concatenate((np.zeros(n), w_informed[by_start])),
+        run_total=totals[run_individual], run_start=start, run_end=end, run_prev=prev,
+        acquirer_run=last_run[order], n_naive=n - np.arange(d),
     )
     for arr in arrays.values():
         arr.setflags(write=False)

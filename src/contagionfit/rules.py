@@ -9,20 +9,20 @@ probabilities).
 
 Every built-in rule depends on the connections only through two sums:
 ``w_informed = sum_j a_ij z_j`` (connection to informed individuals) and
-``total = sum_j a_ij``.  Such rules carry a vectorized
-``sums_rate(params, w_informed, total)``, which the simulator and
-`eval_rate` call on sums that change every step.  The likelihood evaluates
-one table's fixed sums many times, so it asks the rule once per objective
-for ``params -> rates`` on those sums (`TransmissionRule.run_rates`): the
-simple, proportional and freqdep rules ``prepare`` their parameter-free
-pieces there (the informed weight, an informed fraction, a log ratio), and
-every other rule, custom rules included, goes through ``sums_rate``.  In
-those three rules the learning strength s only scales a *shape*, the rate
-at s = 1: ``T = s * x``, where x depends on the other parameters alone
-(none, or f).  Their prepared rates give that shape and its derivatives,
-so the likelihood can keep a shape's event sums and re-evaluate a new s
-in O(events) (see `oada`).  Custom rules may instead supply a plain
-per-individual ``full_rate(params, a_i, z)``.
+``total = sum_j a_ij``.  Such rules carry a vectorized, elementwise
+``sums_rate(params, w_informed, total)``, which the simulator calls on the
+individuals whose sums an event changed, and `eval_rate` on one pair.  The
+likelihood evaluates one table's fixed sums many times, so it asks the rule
+once per objective for ``params -> rates`` on those sums
+(`TransmissionRule.run_rates`): the simple, proportional and freqdep rules
+``prepare`` their parameter-free pieces there (the informed weight, an
+informed fraction, a log ratio), and every other rule, custom rules
+included, goes through ``sums_rate``.  In those three rules the learning
+strength s only scales a *shape*, the rate at s = 1: ``T = s * x``, where
+x depends on the other parameters alone (none, or f).  Their prepared rates
+give that shape and its derivatives, so the likelihood can keep a shape's
+event sums and re-evaluate a new s in O(events) (see `oada`).  Custom
+rules may instead supply a plain per-individual ``full_rate(params, a_i, z)``.
 
 Built-ins
 ---------
@@ -84,7 +84,10 @@ class TransmissionRule:
     lower, upper : box bounds, one entry per free parameter
     fixed : name -> value for constants baked into the rule (e.g. b)
     sums_rate : vectorized fast path, present when the rate depends on the
-        connections only through (w_informed, total)
+        connections only through (w_informed, total); it must be
+        elementwise, each rate a function of its own pair of sums alone,
+        because the simulator evaluates it on the subset of individuals
+        whose sums changed and keeps the other rates
     prepare : optional ``(w_informed, total) -> (params -> rates)`` that
         computes the parameter-free pieces of ``sums_rate`` once for fixed
         sums, giving the same rates; `run_rates` falls back to
@@ -203,17 +206,30 @@ def _proportional_sums(params, w, tot):
     return _proportional_prepare(w, tot)(params)
 
 
-def _freqdep_prepare(w, tot):
+def _log_ratio(w, tot):
+    """log(w_un / w) with w_un = tot - w: +inf without informed weight
+    (rate 0), -inf when saturated (rate s)."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    tot = np.atleast_1d(np.asarray(tot, dtype=float))
-    w_un = tot - w
-    # log(w_un / w): +inf without informed weight (rate 0), -inf when
-    # saturated (rate s)
-    log_ratio = np.full(np.broadcast(w, tot).shape, np.inf)
-    log_ratio[(w > 0) & (w_un <= 0)] = -np.inf
-    mixed = (w > 0) & (w_un > 0)
-    log_ratio[mixed] = np.log(w_un[mixed]) - np.log(w[mixed])
-    return _FreqdepRates(log_ratio)
+    w_un = np.asarray(tot, dtype=float) - w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(w_un) - np.log(w)
+    log_ratio[w_un <= 0] = -np.inf
+    log_ratio[w <= 0] = np.inf
+    return log_ratio
+
+
+def _share(f, log_ratio):
+    """The informed share 1 / (1 + (w_un/w)^f), through expit to survive
+    huge f."""
+    if f > 0:
+        return expit(-f * log_ratio)
+    # -0 * inf is nan: the infinite ratios keep their shares 0 and 1
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(log_ratio), log_ratio < 0, expit(-f * log_ratio))
+
+
+def _freqdep_prepare(w, tot):
+    return _FreqdepRates(_log_ratio(w, tot))
 
 
 class _FreqdepRates:
@@ -229,24 +245,15 @@ class _FreqdepRates:
         # the f-derivative is 0 where the ratio is infinite (rate 0 or s)
         return np.where(np.isfinite(self.log_ratio), self.log_ratio, 0.0)
 
-    def _share(self, f):
-        # 1 / (1 + (w_un/w)^f), computed through expit to survive huge f
-        if f > 0:
-            return expit(-f * self.log_ratio)
-        # -0 * inf is nan: the infinite ratios keep their shares 0 and 1
-        with np.errstate(invalid="ignore"):
-            return np.where(np.isinf(self.log_ratio), self.log_ratio < 0,
-                            expit(-f * self.log_ratio))
-
     def __call__(self, params):
         s, f = params
-        return s * self._share(f)
+        return s * _share(f, self.log_ratio)
 
     def shape(self, rest):
-        return self._share(rest[0])
+        return _share(rest[0], self.log_ratio)
 
     def _share_and_slope(self, f):
-        share = self._share(f)
+        share = _share(f, self.log_ratio)
         return share, -self._finite_ratio * share * (1.0 - share)
 
     def shape_jacobian(self, rest):
@@ -260,7 +267,8 @@ class _FreqdepRates:
 
 
 def _freqdep_sums(params, w, tot):
-    return _freqdep_prepare(w, tot)(params)
+    s, f = params
+    return s * _share(f, _log_ratio(w, tot))
 
 
 def _threshold_sums(params, w, tot, *, sharpness=None):
@@ -380,7 +388,10 @@ def custom_rule(
     Provide ``sums_rate(params, w_informed, total)`` when the rate depends
     on the connections only through those sums (the likelihood then
     evaluates one rate per run of the event table), else
-    ``rate(params, connections, status)``.
+    ``rate(params, connections, status)``.  ``sums_rate`` must work
+    elementwise on arrays, giving each individual's rate from its own sums
+    whatever else is in the arrays: the simulator evaluates it only on the
+    individuals an event touched.
     """
     names = tuple(param_names)
     k = len(names)

@@ -7,22 +7,31 @@ probability the order-of-acquisition likelihood assigns, and the simulator
 steps the likelihood's own naive-set state and rate evaluator, so simulated
 orders and fitted likelihoods agree by construction.
 
+The relative rates live in one vector over all individuals, exactly 0 for
+the informed.  An event changes the sums of its acquirer's out-neighbours
+only, so for a rule with ``sums_rate`` the simulator re-evaluates the rates
+of those naive individuals alone; rules with only ``full_rate`` may read
+the whole status vector and are re-rated in full at every event.  The
+draw is a cumulative sum over the whole vector: adding the informed
+individuals' 0.0 is exact, so it picks the individual a sum over the naive
+set alone would pick.
+
 `simulate_diffusion` returns the dataset (network + order) together with a
-step-by-step trace holding the full selection-probability vector of every
-event, for plotting or audit.
+trace whose full selection-probability vector of every event, for plotting
+or audit, is computed on first access by replaying the order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import csv
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import Network, require_valid
 from .oada import DiffusionData, _NaiveSums, _naive_rates
-from .rules import TransmissionRule
+from .rules import TransmissionRule, _check_rates
 
 __all__ = ["SimulationTrace", "simulate_diffusion", "write_trace_csv"]
 
@@ -33,15 +42,33 @@ class SimulationTrace:
 
     ``probabilities[k, i]`` is the chance individual ``i`` was the k-th
     acquirer, given the history before that event; NaN marks individuals
-    already informed at that point (they were not in the draw).
+    already informed at that point (they were not in the draw).  The
+    (D, n) array is built on first access, by replaying the acquisitions
+    with the simulation's rule and parameters, so a caller that only keeps
+    the dataset never pays for it.
     """
 
     acquirers: np.ndarray      # (D,) 0-based
-    probabilities: np.ndarray  # (D, n); NaN for already-informed
+    _network: Network = field(repr=False)
+    _rule: TransmissionRule = field(repr=False)
+    _params: np.ndarray = field(repr=False)
+    _informed: tuple[int, ...] = field(repr=False)
 
     @property
     def n_events(self) -> int:
         return self.acquirers.size
+
+    @functools.cached_property
+    def probabilities(self) -> np.ndarray:
+        """(D, n); NaN for already-informed individuals."""
+        probs = np.full((self.n_events, self._network.n), np.nan)
+        sums = _NaiveSums(self._network, self._informed)
+        for k, acq in enumerate(self.acquirers):
+            idx, t = _naive_rates(self._rule, self._params, sums)
+            r = t + 1.0
+            probs[k, idx] = r / np.cumsum(r)[-1]
+            sums.step(int(acq))
+        return probs
 
 
 def simulate_diffusion(
@@ -66,7 +93,8 @@ def simulate_diffusion(
         assumes an all-naive start, so datasets with seeded individuals are
         meant for visualization rather than refitting.
     seed : int, SeedSequence or Generator
-        Randomness source; identical seeds give identical diffusions.
+        Randomness source; identical seeds give identical diffusions.  One
+        uniform is drawn per event, all at the start.
     """
     require_valid(network)
     params = rule.check_params(params)
@@ -76,7 +104,8 @@ def simulate_diffusion(
     for i in initially_informed:
         if not 0 <= int(i) < n:
             raise ValueError(f"initially_informed index {i} out of range")
-    sums = _NaiveSums(network, [int(i) for i in initially_informed])
+    informed = tuple(int(i) for i in initially_informed)
+    sums = _NaiveSums(network, informed)
     n_naive = int(sums.naive.sum())
     if n_naive == 0:
         raise ValueError("everyone is already informed; nothing to simulate")
@@ -85,22 +114,29 @@ def simulate_diffusion(
         raise ValueError(f"stop_after must be in [1, {n_naive}]")
 
     order = np.empty(d, dtype=np.int64)
-    probs = np.full((d, n), np.nan)
+    uniforms = rng.random(d)
+    rates = np.zeros(n)  # relative rates T + 1; exactly 0 once informed
+    naive, t = _naive_rates(rule, params, sums)
+    rates[naive] = t + 1.0
     for k in range(d):
-        idx, t = _naive_rates(rule, params, sums)
-        r = t + 1.0
-        cum = np.cumsum(r)
-        u = rng.random() * cum[-1]
-        pick = int(np.searchsorted(cum, u, side="right"))
-        pick = min(pick, idx.size - 1)  # guards the u == total edge
-        acq = int(idx[pick])
-
-        probs[k, idx] = r / cum[-1]
+        cum = rates.cumsum()
+        acq = int(cum.searchsorted(uniforms[k] * cum[-1], side="right"))
+        if acq == n:  # the u == total edge: the last naive individual
+            acq = int(sums.naive.nonzero()[0][-1])
         order[k] = acq
-        sums.step(acq)
+        changed = sums.step(acq)
+        rates[acq] = 0.0
+        if k + 1 == d:
+            break
+        if rule.sums_rate is None:
+            naive, t = _naive_rates(rule, params, sums)
+            rates[naive] = t + 1.0
+        elif (idx := changed.nonzero()[0]).size:
+            t = rule.sums_rate(params, sums.w_informed[idx], sums.totals[idx])
+            rates[idx] = _check_rates(rule, t) + 1.0
 
     data = DiffusionData(network=network, order=order, label=label)
-    trace = SimulationTrace(acquirers=order.copy(), probabilities=probs)
+    trace = SimulationTrace(order.copy(), network, rule, params, informed)
     return data, trace
 
 

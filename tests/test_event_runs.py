@@ -359,3 +359,79 @@ def test_simulated_trace_of_saturated_replicate_scores_like_the_likelihood():
     data, trace = simulate_diffusion(net, rule, [10.0, 0.2], seed=2038)
     want = negative_log_likelihood(rule, [10.0, 0.2], build_event_table(data))
     assert trace_nll(data, trace) == pytest.approx(want, rel=NLL_RTOL)
+
+
+def twin_runs(weights, order):
+    """The runs of an event-by-event walk: after every event but the last,
+    each naive individual linked to the acquirer starts a run, with
+    ``w_informed`` summed one event at a time and set to the row total once
+    every linked in-neighbour is informed."""
+    n, d = weights.shape[0], len(order)
+    totals = weights.sum(axis=1)
+    linked = weights > 0
+    naive_links = linked.sum(axis=1)
+    w_informed = np.zeros(n)
+    naive = np.ones(n, dtype=bool)
+    current = list(range(n))
+    who, run_w, start, prev = list(range(n)), [0.0] * n, [0] * n, [-1] * n
+    acquirer_run = []
+    for k, acq in enumerate(order):
+        acquirer_run.append(current[acq])
+        naive[acq] = False
+        w_informed += weights[:, acq]
+        naive_links -= linked[:, acq]
+        w_informed[naive_links == 0] = totals[naive_links == 0]
+        if k + 1 == d:
+            break
+        for i in range(n):
+            if naive[i] and linked[i, acq]:
+                who.append(i)
+                run_w.append(w_informed[i])
+                start.append(k + 1)
+                prev.append(current[i])
+                current[i] = len(who) - 1
+    end = [d] * len(who)
+    for k, r in enumerate(acquirer_run):
+        end[r] = k + 1
+    for r in range(n, len(who)):
+        end[prev[r]] = start[r]
+    ints = dict(run_individual=who, run_start=start, run_end=end, run_prev=prev,
+                acquirer_run=acquirer_run, n_naive=[n - k for k in range(d)])
+    return {**{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
+            "run_w": np.array(run_w), "run_total": totals[who]}
+
+
+def twin_case(seed):
+    """A seeded network and order: n in 2..150 (mostly small), density 0..1,
+    with some zero rows, isolated individuals, partial orders and D = 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 151)) if seed % 25 == 0 else int(rng.integers(2, 21))
+    density = rng.choice([0.0, 0.05, 0.2, 0.5, 0.8, 1.0])
+    w = rng.uniform(0.01, 5.0, (n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(w, 0.0)
+    if rng.random() < 0.3:
+        w[rng.integers(n)] = 0.0
+    if rng.random() < 0.3:
+        i = rng.integers(n)
+        w[i] = 0.0
+        w[:, i] = 0.0
+    d = (n, 1, int(rng.integers(1, n + 1)))[seed % 3]
+    return w, rng.permutation(n)[:d]
+
+
+RUN_ARRAYS = ("run_individual", "run_w", "run_total", "run_start", "run_end", "run_prev",
+              "acquirer_run", "n_naive")
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 25))
+def test_event_table_matches_event_by_event_twin(seed):
+    # 25 cases per parameter, from fixed numpy seeds; each array must be
+    # equal to the bit, dtype included
+    for case in range(seed, seed + 25):
+        w, order = twin_case(case)
+        table = build_event_table(DiffusionData(Network(w), order))
+        want = twin_runs(w, order)
+        for name in RUN_ARRAYS:
+            got = getattr(table, name)
+            assert got.dtype == want[name].dtype, (case, name)
+            assert np.array_equal(got, want[name]), (case, name)

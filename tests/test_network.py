@@ -57,6 +57,20 @@ def test_validate_reports_violations():
     assert "row 1, column 2" in text
 
 
+def test_validate_counts_a_nan_diagonal_as_nonzero():
+    w = np.array([[np.nan, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+    problems = validate(Network(w))
+    assert problems[-1] == "nonzero diagonal (self-connection) for individual 1 (2 entries affected)"
+
+
+def test_require_valid_checks_a_network_once(toy_network, monkeypatch):
+    calls = []
+    monkeypatch.setattr(network_module, "validate", lambda net: calls.append(net) or [])
+    for _ in range(3):
+        network_module.require_valid(toy_network)
+    assert calls == [toy_network]
+
+
 def test_network_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         Network(np.zeros((2, 3)))

@@ -178,6 +178,11 @@ def test_order_validation(toy_network):
         DiffusionData(toy_network, np.array([], dtype=int))
 
 
+def test_order_names_the_smallest_repeated_individual(toy_network):
+    with pytest.raises(ValueError, match=r"^individual 3 \(1-based\) appears more than once"):
+        DiffusionData(toy_network, np.array([4, 2, 4, 2]))
+
+
 def test_nll_rejects_invalid_params(toy_data):
     table = build_event_table(toy_data)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 
 from contagionfit import (
     DiffusionData,
+    GeneratorConfig,
     Network,
     build_event_table,
+    custom_rule,
+    frequency_dependent_rule,
+    generate_network,
     negative_log_likelihood,
     proportional_rule,
     rule_from_name,
@@ -180,3 +185,97 @@ def test_trace_csv_round_trip(tmp_path, toy_network):
     # NaN cells written as empty strings in later events
     last = lines[-1].split(",")
     assert "" in last[2:]
+
+
+def pinned_network(n, seed, density):
+    """Random weights with a zero row (1), an individual nobody attends to
+    (2) and an isolated individual (3)."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 5.0, (n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(w, 0.0)
+    w[1] = 0.0
+    w[:, 2] = 0.0
+    w[3] = 0.0
+    w[:, 3] = 0.0
+    return Network(w)
+
+
+def linked_informed_count(params, a, z):
+    return params[0] * float(np.count_nonzero(a * z))
+
+
+# (network, rule, params, seed, options) -> the order and the SHA-256 of
+# trace.probabilities.tobytes() recorded from the event-by-event simulator
+# that re-rated every naive individual at every event
+PINNED_DRAWS = {
+    "asocial": (
+        (12, 1, 0.4), "asocial", [], 11, {},
+        [1, 6, 8, 0, 3, 11, 2, 4, 10, 7, 5, 9],
+        "d3660d1409b3f3a817b7467ab5bdcb941d6a0f4254571b12fef37c0b3c08f963"),
+    "simple": (
+        (12, 2, 0.4), "simple", [2.0], 12, {},
+        [3, 11, 4, 0, 5, 8, 9, 2, 10, 7, 1, 6],
+        "0cd8fd87a2472df8570100dd83feda2dc073791593cb1b43108a4844cf4276e6"),
+    "proportional": (
+        (12, 3, 0.4), "proportional", [3.0], 13, {},
+        [10, 9, 7, 3, 1, 11, 6, 0, 8, 5, 2, 4],
+        "d5d2f61a36dcd9cb07552d5b564d8f3724054b8da3c80795b782de966abd6e7c"),
+    "freqdep": (
+        (12, 4, 0.4), "freqdep", [3.0, 2.0], 14, {},
+        [9, 4, 10, 8, 5, 6, 7, 3, 2, 11, 0, 1],
+        "726fc3bff1ebae37f03f5752a956fd3acebed194ee77eeb059fe5fdfbb20b983"),
+    "threshold": (
+        (12, 5, 0.4), "threshold", [2.0, 6.0], 15, {},
+        [8, 7, 4, 1, 6, 2, 10, 5, 9, 11, 0, 3],
+        "b3df12f79b9e5d9ff1ed227c8c52df141ba4805dc0c868fab1e9fa850cd14e2a"),
+    "freqdep_f_0.2": (
+        (12, 6, 0.7), "freqdep", [10.0, 0.2], 16, {},
+        [6, 5, 0, 7, 9, 1, 11, 10, 2, 8, 4, 3],
+        "4757cffbb6b235e569e57686e3fb981031988ef01e33a74795d819560a14d99e"),
+    "freqdep_s_1e6": (
+        (12, 7, 0.4), "freqdep", [1e6, 3.0], 17, {},
+        [10, 8, 5, 6, 0, 4, 9, 7, 11, 2, 1, 3],
+        "b910a9daa3056c82f05721fd0e26220eadc78bd9b2ad1170054677b05b6084c6"),
+    "stop_after": (
+        (40, 8, 0.2), "simple", [1.5], 18, {"stop_after": 9},
+        [15, 30, 16, 7, 39, 27, 28, 25, 20],
+        "177d1563708775f6ecdcd19a4ee855115acaee0f06022d0c96c2e0f9f8275ab0"),
+    "initially_informed": (
+        (12, 9, 0.4), "freqdep", [4.0, 1.5], 19, {"initially_informed": (0, 5, 7)},
+        [6, 11, 4, 2, 8, 10, 9, 3, 1],
+        "c4cef111ff677c956aef2f45db6641222ebb30b7c583da5b1f055e27c47611ad"),
+    "full_rate": (
+        (12, 10, 0.4), None, [1.0], 20, {},
+        [3, 6, 0, 7, 4, 2, 5, 11, 10, 8, 9, 1],
+        "5e5082a053e33673c813b6ca27c31f707754648c135bb216468d826c86fe4da9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRAWS))
+def test_pinned_draws(case):
+    net_args, kind, params, seed, options, order, digest = PINNED_DRAWS[case]
+    rule = (rule_from_name(kind) if kind else
+            custom_rule("count", ["s"], rate=linked_informed_count))
+    data, trace = simulate_diffusion(pinned_network(*net_args), rule, params, seed=seed, **options)
+    assert data.order.tolist() == order
+    assert "probabilities" not in vars(trace)  # built on first access only
+    assert hashlib.sha256(trace.probabilities.tobytes()).hexdigest() == digest
+
+
+def test_pinned_draws_from_one_shared_generator():
+    # criterion 04's network and parameters: 50 diffusions read one stream
+    net = generate_network(
+        GeneratorConfig(n=5, sparsity_threshold=0.5, multiplier_max=2.0, seed=11)
+    )
+    rng = np.random.default_rng(2024)
+    orders, traces = [], hashlib.sha256()
+    for _ in range(50):
+        data, trace = simulate_diffusion(net, frequency_dependent_rule(), [3.0, 2.0], seed=rng)
+        orders.append(data.order.tolist())
+        traces.update(trace.probabilities.tobytes())
+    assert orders[:5] == [[3, 1, 2, 4, 0], [0, 1, 2, 3, 4], [2, 1, 0, 4, 3],
+                          [2, 4, 3, 1, 0], [1, 2, 0, 4, 3]]
+    assert hashlib.sha256(repr(orders).encode()).hexdigest() == (
+        "7af3bc3b4f0982accd1c4ce849568fdde0dd793328e62dc44a2ed735cd20cb27")
+    assert traces.hexdigest() == (
+        "29de896edc681e9c5064aae3525b5be9feacca01ec3c788d730c817a552cc532")
