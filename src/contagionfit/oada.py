@@ -466,7 +466,10 @@ def _nll_and_gradient(rule: TransmissionRule, params: np.ndarray, table: EventTa
             np.cumsum(inv_denom, out=inv_cumsum[1:])
             adjoint = inv_cumsum[table.run_end] - inv_cumsum[table.run_start]
             adjoint[table.acquirer_run] -= inv_acq
-            grad[1:] = s * (adjoint @ dx)
+            # einsum, not BLAS: OpenBLAS splits a product over about 10 000
+            # runs (n = 1000) across threads that then spin on the other
+            # cores, so a fit's time would follow whatever else runs there
+            grad[1:] = s * np.einsum("r,rk->k", adjoint, dx)
     return val, grad
 
 
