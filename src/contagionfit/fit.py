@@ -29,6 +29,7 @@ parameter sits on a bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,8 +39,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
-from .oada import (DiffusionData, EventTable, _nll, _nll_along, _nll_and_gradient, aicc,
-                   build_event_table)
+from .oada import DiffusionData, EventTable, aicc, build_event_table, nll_objective
 from .rules import TransmissionRule
 
 __all__ = [
@@ -269,12 +269,23 @@ class BoxTransform:
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultistartResult:
     x: np.ndarray
     fun: float
     converged: bool
     n_evals: int
+
+
+@functools.lru_cache(maxsize=16)
+def _box_transform(lower: tuple[float, ...], upper: tuple[float, ...]) -> BoxTransform:
+    """The `BoxTransform` of a box, built once per box: every pin of a
+    profile searches the same box, and so does every fit of one rule.
+    Its bounds are read-only, as every caller shares them."""
+    transform = BoxTransform(lower, upper)
+    transform.lower.setflags(write=False)
+    transform.upper.setflags(write=False)
+    return transform
 
 
 # what an objective may raise at a point where its rates are invalid
@@ -323,7 +334,8 @@ def minimize_multistart(
     kept when a run goes astray or none finds a finite value; the winner is
     the lowest final value, earliest start on exact ties.
     """
-    transform = BoxTransform(lower, upper)
+    transform = _box_transform(tuple(np.asarray(lower, dtype=float).ravel().tolist()),
+                               tuple(np.asarray(upper, dtype=float).ravel().tolist()))
     obj = _safe(objective)
     x0 = transform.nudge_inside(np.asarray(start, dtype=float))
     z0 = transform.to_internal(x0)
@@ -559,31 +571,6 @@ def _newton_steps(derivatives, lo: float, hi: float, z: float, f: float, g: floa
         else:
             lo = z_new
     return z, f, n_evals
-
-
-def nll_objective(rule: TransmissionRule, table: EventTable) -> Callable[[np.ndarray], float]:
-    """NLL as a plain params -> float callable (no bounds checks; an invalid
-    rate raises ValueError).  The rule's parameter-free run pieces are
-    prepared here, once, and shared by every evaluation.  When the prepared
-    rates have a ``shape`` (the built-in simple, proportional and freqdep
-    rules), the objective keeps the event sums of the shapes it met, so an
-    evaluation that moves only s costs O(D) (`oada._nll`), and it also
-    carries ``value_and_grad``: params -> (NLL, its gradient), and
-    ``along``: (params, index) -> (NLL, its first and second derivatives
-    along parameter ``index``), which `minimize_multistart` uses to polish
-    a one-coordinate search (`oada._nll_along`)."""
-    run_rates = rule.run_rates(table.run_w, table.run_total)
-    cache: dict = {}
-
-    def objective(p):
-        return _nll(rule, np.asarray(p, dtype=float), table, run_rates, cache)
-
-    if hasattr(run_rates, "shape"):
-        objective.value_and_grad = lambda p: _nll_and_gradient(
-            rule, np.asarray(p, dtype=float), table, run_rates, cache)
-        objective.along = lambda p, index: _nll_along(
-            rule, np.asarray(p, dtype=float), index, table, run_rates, cache)
-    return objective
 
 
 def hessian_standard_errors(

@@ -48,9 +48,12 @@ again) costs O(D), and one that moves f costs O(runs + D).  Other rules
 pass their rates as ``x`` with s = 1, an O(runs + D) evaluation.  The
 gradient comes from the same halves: in s it is O(D), in the shape's
 parameters it is the adjoint of the prefix sum, O(runs + D) more, and fits
-use it (`fit.nll_objective`).  So does the first and second derivative
-along one parameter (`_nll_along`), which one-coordinate searches use: O(D)
-along s, two more O(runs) passes along a shape parameter.
+use it.  So does the first and second derivative along one parameter,
+which one-coordinate searches use: O(D) along s, two more O(runs) passes
+along a shape parameter.  One objective object (`nll_objective`) holds the
+prepared rates and the cached pieces and gives all of these; its pinned
+view (`_Objective.pin`) is a profile's inner objective, and its slope in
+the pinned parameter is the profile's slope at the inner optimum.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ __all__ = [
     "write_order_file",
 ]
 
-# shapes whose pieces one objective keeps (`_shape_pieces`), each 2·D + 2
+# shapes whose pieces one objective keeps (`_ShapeObjective`), each 2·D + 2
 # floats: 1 MB at D = 1000; enough for the nuisance grid an s-profile pin
 # scans again (`fit.SCAN_POINTS`) plus the points one pin adds
 PIECES_CACHE_SIZE = 64
@@ -123,7 +126,7 @@ class DiffusionData:
         return hash((self.network, self.order.tobytes()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventTable:
     """Per-run likelihood ingredients of one diffusion.
 
@@ -190,6 +193,12 @@ class EventTable:
     @property
     def n_runs(self) -> int:
         return self.run_w.size
+
+    @functools.cached_property
+    def _naive_count(self) -> np.ndarray:
+        """``n_naive`` as floats, so that an evaluation does not convert it
+        again (`_scaled_nll`)."""
+        return self.n_naive.astype(float)
 
     @functools.cached_property
     def _flow_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -376,28 +385,9 @@ def _scaled_nll(s: float, pieces, table: EventTable) -> tuple[float, np.ndarray]
     """
     c, a = pieces
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = table.n_naive + s * c
+        denom = table._naive_count + s * c
         val = float(np.log(denom).sum() - np.log1p(s * a).sum())
     return (val if math.isfinite(val) else math.inf), denom
-
-
-def _shape_pieces(rule: TransmissionRule, rest: np.ndarray, table: EventTable, run_rates,
-                  cache: dict, shape: np.ndarray | None = None):
-    """``(pieces, smallest, largest)`` of the shape at ``rest``, checked
-    once and kept in ``cache`` (least recently used out beyond
-    `PIECES_CACHE_SIZE` entries); ``shape`` is the shape at ``rest`` when
-    the caller has it already."""
-    key = rest.tobytes()
-    entry = cache.pop(key, None)
-    if entry is None:
-        x = np.asarray(run_rates.shape(rest) if shape is None else shape, dtype=float)
-        smallest, largest = x.min(), x.max()
-        _check_scale(rule, 1.0, smallest, largest)  # the shape is the rates at s = 1
-        entry = (_run_pieces(x, table), smallest, largest)
-        if len(cache) >= PIECES_CACHE_SIZE:
-            del cache[next(iter(cache))]
-    cache[key] = entry
-    return entry
 
 
 def _check_scale(rule: TransmissionRule, s: float, smallest: float, largest: float) -> None:
@@ -420,93 +410,180 @@ def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) 
     return nll
 
 
-def _nll(rule: TransmissionRule, params: np.ndarray, table: EventTable, run_rates,
-         cache: dict) -> float:
-    """NLL by the rule's one path, with every rate checked: the generic walk
-    for rules without ``sums_rate``, else from the `_run_pieces` of
-    ``run_rates``, the rule's `TransmissionRule.run_rates` on the table's
-    ``(run_w, run_total)``, which the caller prepares once per objective.
-    When those rates have a ``shape``, the pieces of the shape at
-    ``params[1:]`` come from ``cache`` and only the scale ``params[0]``
-    is applied here, in O(D); other rates are their own shape at scale 1."""
-    if run_rates is None:
-        return _nll_generic(rule, params, table)
-    if not hasattr(run_rates, "shape"):
-        return _scaled_nll(1.0, _run_pieces(_check_rates(rule, run_rates(params)), table), table)[0]
-    pieces, smallest, largest = _shape_pieces(rule, params[1:], table, run_rates, cache)
-    _check_scale(rule, params[0], smallest, largest)
-    return _scaled_nll(params[0], pieces, table)[0]
+def nll_objective(rule: TransmissionRule, table: EventTable) -> _Objective:
+    """The NLL of ``rule`` on ``table`` as one objective object (no bounds
+    checks; an invalid rate raises ValueError).  The rule's parameter-free
+    run pieces are prepared here, once, and shared by every evaluation.
+    When the prepared rates have a ``shape`` (the built-in simple,
+    proportional and freqdep rules) the objective also gives the NLL's
+    gradient and its derivatives along one parameter (`_ShapeObjective`);
+    other rules give the value alone."""
+    run_rates = rule.run_rates(table.run_w, table.run_total)
+    kind = _ShapeObjective if hasattr(run_rates, "shape") else _Objective
+    return kind(rule, table, run_rates)
 
 
-def _nll_and_gradient(rule: TransmissionRule, params: np.ndarray, table: EventTable,
-                      run_rates, cache: dict) -> tuple[float, np.ndarray]:
-    """NLL and its gradient in the parameters, for rates ``s * x`` whose
-    ``run_rates`` has a ``shape_jacobian``.  The NLL is the one `_nll`
-    returns, from the same cache, with the same checks.
+class _Objective:
+    """params -> NLL, by the rule's one path, with every rate checked: the
+    generic walk for rules without ``sums_rate``, else the `_run_pieces` of
+    ``run_rates`` (the rule's `TransmissionRule.run_rates` on the table's
+    ``(run_w, run_total)``) at scale 1.  ``value_and_grad`` and ``along``
+    are None: a minimizer that reads them searches without derivatives."""
 
-    The derivative in s is ``Σ C/denom − Σ a/(1 + s·a)``, O(D).  The
-    derivatives in the shape's parameters are ``s`` times the NLL's
-    gradient in the run values, the adjoint of the prefix sum: run r is
-    present at events ``run_start[r] <= k < run_end[r]``, so it gets the
-    sum of ``1/denom_k`` over those events, less ``1/(1 + s·a_k)`` where
-    its individual acquires at k; times the shape's Jacobian.
-    """
-    s, rest = params[0], params[1:]
-    x, dx = run_rates.shape_jacobian(rest)
-    (c, a), smallest, largest = _shape_pieces(rule, rest, table, run_rates, cache, shape=x)
-    _check_scale(rule, s, smallest, largest)
-    val, denom = _scaled_nll(s, (c, a), table)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_denom = 1.0 / denom
-        inv_acq = 1.0 / (1.0 + s * a)
-        grad = np.empty(params.size)
-        grad[0] = inv_denom @ c - inv_acq @ a
-        if rest.size:
-            inv_cumsum = np.zeros(denom.size + 1)
-            np.cumsum(inv_denom, out=inv_cumsum[1:])
-            adjoint = inv_cumsum[table.run_end] - inv_cumsum[table.run_start]
-            adjoint[table.acquirer_run] -= inv_acq
-            # einsum, not BLAS: OpenBLAS splits a product over about 10 000
-            # runs (n = 1000) across threads that then spin on the other
-            # cores, so a fit's time would follow whatever else runs there
-            grad[1:] = s * np.einsum("r,rk->k", adjoint, dx)
-    return val, grad
+    value_and_grad = None
+    along = None
+
+    def __init__(self, rule: TransmissionRule, table: EventTable, run_rates):
+        self.rule = rule
+        self.table = table
+        self.run_rates = run_rates
+
+    def __call__(self, params) -> float:
+        params = np.asarray(params, dtype=float)
+        if self.run_rates is None:
+            return _nll_generic(self.rule, params, self.table)
+        rates = _check_rates(self.rule, self.run_rates(params))
+        return _scaled_nll(1.0, _run_pieces(rates, self.table), self.table)[0]
+
+    def pin(self, index: int, value: float) -> _Pinned:
+        """This objective with parameter ``index`` held at ``value``."""
+        return _Pinned(self, index, value)
 
 
-def _nll_along(rule: TransmissionRule, params: np.ndarray, index: int, table: EventTable,
-               run_rates, cache: dict) -> tuple[float, float, float]:
-    """NLL with its first and second derivatives along parameter ``index``,
-    for rates ``s * x`` whose ``run_rates`` has a ``shape`` (and, for
-    ``index > 0``, a ``shape_along``).  The NLL is the one `_nll` returns,
-    from the same cache, with the same checks.
+class _ShapeObjective(_Objective):
+    """The NLL for rates ``s * x``, where the shape ``x`` depends on the
+    parameters after s alone.  The objective keeps the `_run_pieces` of the
+    shapes it met (least recently used out beyond `PIECES_CACHE_SIZE`), so
+    an evaluation that moves only s costs O(D), and every evaluation, with
+    or without derivatives, gives the one NLL of `_scaled`."""
 
-    Along s it is O(D): ``Σ C/denom − Σ a/(1 + s·a)`` and
-    ``Σ a²/(1 + s·a)² − Σ C²/denom²``.  Along a shape parameter it costs
-    two more `_run_pieces` passes, over the shape's first and second
-    derivatives: with ``C' = s·pieces(x')`` and ``a' = s·x'`` at the
-    acquirer (likewise ``''``), the derivatives are
-    ``Σ C'/denom − Σ a'/(1 + s·a)`` and
-    ``Σ C''/denom − Σ (C'/denom)² − Σ a''/(1 + s·a) + Σ (a'/(1 + s·a))²``.
-    """
-    s, rest = params[0], params[1:]
-    if index == 0:
-        (c, a), smallest, largest = _shape_pieces(rule, rest, table, run_rates, cache)
-    else:
-        x, dx, d2x = run_rates.shape_along(rest, index - 1)
-        (c, a), smallest, largest = _shape_pieces(rule, rest, table, run_rates, cache, shape=x)
-    _check_scale(rule, s, smallest, largest)
-    val, denom = _scaled_nll(s, (c, a), table)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        acq_denom = 1.0 + s * a
+    def __init__(self, rule: TransmissionRule, table: EventTable, run_rates):
+        super().__init__(rule, table, run_rates)
+        self.cache: dict = {}
+
+    def _scaled(self, params: np.ndarray, shape: np.ndarray | None = None):
+        """``(NLL, C, a, event denominators)`` at ``params``: the pieces of
+        the shape at ``params[1:]`` (checked once, when first met), and the
+        checked scale ``params[0]`` applied in O(D); ``shape`` is the shape
+        at ``params[1:]`` when the caller has it already."""
+        key = params[1:].tobytes()
+        entry = self.cache.pop(key, None)
+        if entry is None:
+            x = np.asarray(self.run_rates.shape(params[1:]) if shape is None else shape,
+                           dtype=float)
+            smallest, largest = x.min(), x.max()
+            _check_scale(self.rule, 1.0, smallest, largest)  # the shape is the rates at s = 1
+            entry = (_run_pieces(x, self.table), smallest, largest)
+            if len(self.cache) >= PIECES_CACHE_SIZE:
+                del self.cache[next(iter(self.cache))]
+        self.cache[key] = entry
+        (c, a), smallest, largest = entry
+        _check_scale(self.rule, params[0], smallest, largest)
+        val, denom = _scaled_nll(params[0], (c, a), self.table)
+        return val, c, a, denom
+
+    def __call__(self, params) -> float:
+        return self._scaled(np.asarray(params, dtype=float))[0]
+
+    def value_and_grad(self, params) -> tuple[float, np.ndarray]:
+        """NLL and its gradient in the parameters, for rates whose
+        ``run_rates`` has a ``shape_jacobian``.
+
+        The derivative in s is ``Σ C/denom − Σ a/(1 + s·a)``, O(D).  The
+        derivatives in the shape's parameters are ``s`` times the NLL's
+        gradient in the run values, the adjoint of the prefix sum: run r is
+        present at events ``run_start[r] <= k < run_end[r]``, so it gets the
+        sum of ``1/denom_k`` over those events, less ``1/(1 + s·a_k)`` where
+        its individual acquires at k; times the shape's Jacobian.
+        """
+        params = np.asarray(params, dtype=float)
+        s, rest = params[0], params[1:]
+        x, dx = self.run_rates.shape_jacobian(rest)
+        val, c, a, denom = self._scaled(params, shape=x)
+        table = self.table
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv_denom = 1.0 / denom
+            inv_acq = 1.0 / (1.0 + s * a)
+            grad = np.empty(params.size)
+            grad[0] = inv_denom @ c - inv_acq @ a
+            if rest.size:
+                inv_cumsum = np.zeros(denom.size + 1)
+                np.cumsum(inv_denom, out=inv_cumsum[1:])
+                adjoint = inv_cumsum[table.run_end] - inv_cumsum[table.run_start]
+                adjoint[table.acquirer_run] -= inv_acq
+                # einsum, not BLAS: OpenBLAS splits a product over about 10 000
+                # runs (n = 1000) across threads that then spin on the other
+                # cores, so a fit's time would follow whatever else runs there
+                grad[1:] = s * np.einsum("r,rk->k", adjoint, dx)
+        return val, grad
+
+    def along(self, params, index: int) -> tuple[float, float, float]:
+        """NLL with its first and second derivatives along parameter
+        ``index`` (for ``index > 0`` the rates need a ``shape_along``).
+
+        Along s it is O(D): ``Σ C/denom − Σ a/(1 + s·a)`` and
+        ``Σ a²/(1 + s·a)² − Σ C²/denom²``.  Along a shape parameter it costs
+        two more `_run_pieces` passes, over the shape's first and second
+        derivatives: with ``C' = s·pieces(x')`` and ``a' = s·x'`` at the
+        acquirer (likewise ``''``), the derivatives are
+        ``Σ C'/denom − Σ a'/(1 + s·a)`` and
+        ``Σ C''/denom − Σ (C'/denom)² − Σ a''/(1 + s·a) + Σ (a'/(1 + s·a))²``.
+        """
+        params = np.asarray(params, dtype=float)
+        s = params[0]
         if index == 0:
-            u, v = c / denom, a / acq_denom
-            return val, float(u.sum() - v.sum()), float(v @ v - u @ u)
-        c1, a1 = _run_pieces(dx, table)
-        c2, a2 = _run_pieces(d2x, table)
-        u, v = s * c1 / denom, s * a1 / acq_denom
-        first = float(u.sum() - v.sum())
-        second = float((s * c2 / denom).sum() - u @ u - (s * a2 / acq_denom).sum() + v @ v)
-    return val, first, second
+            val, c, a, denom = self._scaled(params)
+        else:
+            x, dx, d2x = self.run_rates.shape_along(params[1:], index - 1)
+            val, c, a, denom = self._scaled(params, shape=x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            acq_denom = 1.0 + s * a
+            if index == 0:
+                u, v = c / denom, a / acq_denom
+                return val, float(u.sum() - v.sum()), float(v @ v - u @ u)
+            c1, a1 = _run_pieces(dx, self.table)
+            c2, a2 = _run_pieces(d2x, self.table)
+            u, v = s * c1 / denom, s * a1 / acq_denom
+            first = float(u.sum() - v.sum())
+            second = float((s * c2 / denom).sum() - u @ u - (s * a2 / acq_denom).sum() + v @ v)
+        return val, first, second
+
+class _Pinned:
+    """An objective with parameter ``index`` held at ``value``: a callable
+    of the other parameters, the *free* ones, with ``along`` over them when
+    the objective has it.  With a gradient, ``slope`` gives the NLL's
+    derivative in the pinned parameter, which at the optimum over the free
+    parameters is the slope of the profile (the envelope theorem)."""
+
+    def __init__(self, objective: _Objective, index: int, value: float):
+        self.objective = objective
+        self.index = index
+        self.value = value
+
+    def full(self, free) -> np.ndarray:
+        i = self.index
+        params = np.empty(len(free) + 1)
+        params[:i] = free[:i]
+        params[i] = self.value
+        params[i + 1:] = free[i:]
+        return params
+
+    def __call__(self, free) -> float:
+        return self.objective(self.full(free))
+
+    @property
+    def along(self):
+        return None if self.objective.along is None else self._along
+
+    def _along(self, free, j: int):
+        # free coordinate j is parameter j, or j + 1 past the pinned one
+        return self.objective.along(self.full(free), j + (j >= self.index))
+
+    def slope(self, free) -> float:
+        """O(D) in s (`along`), one adjoint pass in a shape parameter."""
+        if self.index == 0:
+            return self.objective.along(self.full(free), 0)[1]
+        return float(self.objective.value_and_grad(self.full(free))[1][self.index])
 
 
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:
@@ -516,8 +593,7 @@ def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -
     ValueError if the rule produces a non-finite or negative rate anywhere
     in the table, or a non-finite likelihood.
     """
-    p = rule.check_params(params)
-    nll = _nll(rule, p, table, rule.run_rates(table.run_w, table.run_total), {})
+    nll = nll_objective(rule, table)(rule.check_params(params))
     if not np.isfinite(nll):
         raise ValueError(f"rule {rule.kind!r} produced a non-finite likelihood")
     return nll

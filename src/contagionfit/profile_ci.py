@@ -6,18 +6,32 @@ fit NLL.  The default cutoff 1.92 is half the 0.95 quantile of a chi-square
 with one degree of freedom, giving asymptotic 95% intervals; `experiments`
 can replace it with a bootstrap-calibrated value.
 
-Endpoint search: geometric bracket expansion away from the MLE (factor 2,
-initial offset 10% of |MLE| with a 1e-3 floor), then scipy's `brentq` for
-the crossing between the last pin inside and the first pin outside,
-started from the values already known there.  It stops once the bracket is
-narrower than ``rel_tol / 4 * (1 + |estimate|)``: relative to the
-estimate, not to the bracket, which for a runaway MLE spans many orders of
-magnitude.  A profile value that is nan counts as +inf, so outside.  A side
-that reaches the fit's box bound while still inside the region is
-truncated there and flagged ``at_*_bound``; a side that reaches the search
-ceiling (1e6 x max(1, |MLE|)) without crossing is reported as *open*.  If the scan sees several sign
-changes (a non-monotone profile), the outermost crossing wins and a
-diagnostic records it.
+Endpoint search: pins step away from the MLE (first offset 10% of |MLE|
+with a 1e-3 floor), each at most twice as far from it as the last, until
+one lies outside the region, plus one lookahead pin at twice that offset,
+so that a profile that comes back into the region is followed to its
+outermost crossing (a diagnostic records the non-monotone profile).  Where
+the profile has a slope, the search follows it: at a pin, the slope is
+the NLL's derivative in the pinned parameter at the inner optimum (the
+envelope theorem), O(D) along s and one adjoint pass along f, for the
+built-in simple, proportional and freqdep rules.  A pin inside then steps
+to where the tangent meets the cutoff (in the log of the distance to a
+lower bound), when that is nearer than doubling and the straight tangent
+stays inside the box, and safeguarded Newton steps on ``pnll - target``
+find the crossing (Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94),
+bisecting when a step leaves the bracket or a slope disagrees with the
+values around it.  Without a slope (threshold, custom and ``full_rate``
+rules, and plain callables passed to `profile_interval`) the offsets
+double, and scipy's `brentq` finds the crossing between the last pin
+inside and the first pin outside, started from the values known there; a
+side that ends open or on a box bound mostly pins the same either way.
+The root search stops once the endpoint is known to within
+``rel_tol / 4 * (1 + |estimate|)``: relative to the estimate, not to the
+bracket, which for a runaway MLE spans many orders of magnitude.  A
+profile value that is nan counts as +inf, so outside.  A side that
+reaches the fit's box bound while still inside the region is truncated
+there and flagged ``at_*_bound``; a side that reaches the search ceiling
+(1e6 x max(1, |MLE|)) without crossing is reported as *open*.
 
 Inner fit: each pinned value re-minimizes the NLL over the other
 parameters with one `fit.minimize_multistart` call, so the number of free
@@ -62,6 +76,10 @@ BRACKET_FACTOR = 2.0
 CEILING_SCALE = 1e6
 INNER_TOLERANCE = 1e-8
 BRENTQ_MIN_RTOL = 4 * np.finfo(float).eps  # scipy's brentq refuses a smaller rtol
+ROOT_MAX_PINS = 100  # pins one slope-guided root search may take
+# a pin's slope is trusted when the secant from the pin before it lies
+# between the two pins' slopes, give or take this share of the larger one
+SLOPE_SLACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -151,54 +169,64 @@ class ProfileCI:
 class _Profile:
     """Profile NLL of one parameter: the module's only inner fit.
 
-    Pins parameter ``index`` and minimizes the NLL over the others in the box
+    Pins parameter ``index`` (the objective's pinned view,
+    `oada._Objective.pin`) and minimizes the NLL over the others in the box
     [``lower``, ``upper``] with one `minimize_multistart` call per pin, from
-    the free part of ``start``, which also centres a one-nuisance scan; each
-    pin carries the objective's ``along`` for its free coordinates, when the
-    objective has it, so a one-nuisance search ends in a Newton polish.  Pins
-    on each side of ``centre`` keep their own warm start, so one instance
-    serves both directions of an interval search and neither inherits the
-    other's optimum.
+    a warm start: the free part of ``start`` (which also centres a
+    one-nuisance scan) at the first pin on each side of ``centre``, then
+    the optimum of the side's last pin, so one instance serves both
+    directions of an interval search and neither inherits the other's
+    optimum.  A pinned view carries the objective's ``along`` for its free
+    coordinates, when the objective has it, so a one-nuisance search ends
+    in a Newton polish.  When the objective has a gradient,
+    ``value_and_slope`` gives the profile value with its slope.
     """
 
     def __init__(self, table, rule, index, lower, upper, start, centre, cfg):
         self.objective = nll_objective(rule, table)
-        self.along = getattr(self.objective, "along", None)
         self.index = index
         self.centre = centre
         self.cfg = cfg
         self.free_start = np.delete(np.asarray(start, dtype=float), index)
-        self.starts = {False: self.free_start, True: self.free_start}
         self.lower = np.delete(lower, index)
         self.upper = np.delete(upper, index)
+        self.side = None
+        self.warm = self.free_start
 
-    def __call__(self, value: float) -> float:
+    def _pin(self, value: float):
+        """(pinned view, `minimize_multistart` result) at ``value``."""
         side = value > self.centre
-        i = self.index
-
-        def full(free):
-            return np.concatenate((free[:i], [value], free[i:]))
-
-        def pinned(free):
-            return self.objective(full(free))
-
-        if self.along is not None:
-            # free coordinate j is parameter j, or j + 1 past the pinned one
-            pinned.along = lambda free, j: self.along(full(free), j + (j >= i))
+        if side != self.side:
+            self.side, self.warm = side, self.free_start
+        view = self.objective.pin(self.index, value)
         ms = minimize_multistart(
-            pinned,
-            self.starts[side],
+            view,
+            self.warm,
             self.lower,
             self.upper,
             restarts=self.cfg.inner_restarts,
             tolerance=INNER_TOLERANCE,
             max_evals=self.cfg.inner_max_evals,
-            seed=(self.cfg.seed, i),
+            seed=(self.cfg.seed, self.index),
             centre=self.free_start,
         )
         if math.isfinite(ms.fun):
-            self.starts[side] = ms.x
-        return ms.fun
+            self.warm = ms.x
+        return view, ms
+
+    def __call__(self, value: float) -> float:
+        return self._pin(value)[1].fun
+
+    @property
+    def value_and_slope(self):
+        """value -> (profile NLL, its slope), or None without a gradient."""
+        return None if self.objective.value_and_grad is None else self._value_and_slope
+
+    def _value_and_slope(self, value: float) -> tuple[float, float]:
+        # the envelope theorem: the profile's slope is the NLL's derivative
+        # in the pinned parameter at the inner optimum
+        view, ms = self._pin(value)
+        return ms.fun, view.slope(ms.x) if math.isfinite(ms.fun) else math.nan
 
 
 def profile_nll(
@@ -239,20 +267,37 @@ def profile_nll(
 
 
 def _search_side(
-    pnll: Callable[[float], float],
+    pin: Callable[[float], tuple[float, float]],
     direction: int,
     mle: float,
     nll_min: float,
     bound: float,
+    base: float,
+    slopes: bool,
     cfg: ProfileConfig,
     diagnostics: list[str],
 ):
     """Find one interval endpoint.  Returns (endpoint, open_flag, at_bound).
 
-    ``pnll`` never returns nan (`profile_interval` records nan as +inf).
-    Geometric bracket scan away from the MLE, then scipy's `brentq` between
-    the last pin inside and the first pin outside, started from their known
-    values so that no pin is evaluated twice.
+    ``pin(x)`` gives the profile value at ``x``, never nan
+    (`profile_interval` records nan as +inf), and, when ``slopes`` is set,
+    its slope (nan where unknown).  Pins step away from the MLE, each at
+    most twice as far from it as the last, until the region has been left
+    twice or the limit (box bound or ceiling) is pinned: one lookahead pin
+    follows the first exit, so a profile that comes back into the region
+    (a non-monotone one) is followed to its outermost crossing, which lies
+    between the last pin inside and the pin after it.
+
+    Without slopes the offsets double, and scipy's `brentq` finds the
+    crossing, started from the values known at its ends so that no pin is
+    evaluated twice.  With slopes a pin inside whose slope is `_trusted`
+    and points outward steps instead to where the profile's tangent meets
+    the target (`_tangent_root`, in ``log(x - base)`` when ``base``, the
+    parameter's lower bound, is finite), when that is nearer than doubling
+    and the straight tangent does not pass the box bound.  Once such a
+    step is within `_root_tol` of its estimated crossing (`_newton_error`),
+    the side ends there; otherwise `_slope_root` finds the crossing after
+    the first pin outside.
     """
     target = nll_min + cfg.cutoff
     ceiling_span = CEILING_SCALE * max(1.0, abs(mle))
@@ -266,26 +311,42 @@ def _search_side(
     if direction * (limit - mle) <= 0:  # MLE already sits on the bound
         return limit, False, True
 
-    step = max(FIRST_OFFSET_FRAC * abs(mle), FIRST_OFFSET_FLOOR)
-    xs = [mle]
-    fs = [nll_min]
+    offset = max(FIRST_OFFSET_FRAC * abs(mle), FIRST_OFFSET_FLOOR)
+    pins = [(mle, nll_min, 0.0)]  # (x, value, slope); the fit's MLE is a stationary point
     exits = 0
-    x = mle + direction * step
+    root = None  # with slopes: (index of the last pin inside, the crossing after it)
+    x = mle + direction * offset
     while True:
         if direction * (x - limit) >= 0:
             x = limit
-        fs.append(pnll(x))
-        xs.append(x)
+        pins.append((x, *pin(x)))
+        _, f, g = pins[-1]
         if x == limit:
             break
-        if fs[-1] > target:
+        if f > target:
             exits += 1
             if exits >= 2:  # one lookahead point past the first exit
                 break
-        step *= BRACKET_FACTOR
-        x = mle + direction * step
+            if slopes:  # found now, so that none of its pins starts from the lookahead's optimum
+                root = len(pins) - 2, _slope_root(pin, pins[-2], pins[-1], target, base, cfg)
+        offset *= BRACKET_FACTOR
+        x = mle + direction * offset
+        if slopes and f <= target and direction * g > 0 and _trusted(pins[-2], pins[-1]):
+            tangent = _tangent_root(*pins[-1], target, base)
+            # a tangent in log(x - base) never reaches a box bound: where the
+            # straight one passes the bound, the doubling goes on to pin it
+            straight = pins[-1][0] + (target - f) / g
+            past_bound = limited_by_bound and direction * (straight - limit) >= 0
+            if direction * (x - tangent) > 0 and not past_bound:  # nearer than doubling
+                x, offset = tangent, direction * (tangent - mle)
+                if (direction * (limit - x) > 0
+                        and _newton_error(pins[-2], pins[-1], x, base) <= _root_tol(x, cfg)):
+                    root = len(pins) - 1, x  # tangents reached the crossing from inside
+                    break
 
-    inside = [f <= target for f in fs]
+    inside = [f <= target for _, f, _ in pins]
+    if root is not None and root[0] == len(pins) - 1:
+        inside.append(False)  # the crossing after the last pin
     crossings = sum(1 for a, b in zip(inside, inside[1:]) if a != b)
     if crossings > 1:
         diagnostics.append(
@@ -302,23 +363,109 @@ def _search_side(
     # the scan's last pin is outside, so the pin after the last one inside is
     # outside too
     last_in = max(i for i, ok in enumerate(inside) if ok)
-    a, b = xs[last_in], xs[last_in + 1]
-    known = {a: fs[last_in], b: fs[last_in + 1]}
+    if slopes:
+        if root is None or root[0] != last_in:
+            root = last_in, _slope_root(pin, pins[last_in], pins[last_in + 1], target, base, cfg)
+        return root[1], False, False
+    (a, fa, _), (b, fb, _) = pins[last_in], pins[last_in + 1]
     # the profile goes in as args: scipy wraps the callable in a function
     # that refers to itself, a reference cycle that would keep a closure
-    # over ``pnll`` (its objective and cached event sums) alive until the
+    # over ``pin`` (its objective and cached event sums) alive until the
     # next cyclic garbage collection
     endpoint = brentq(
-        _above_target, a, b, args=(pnll, known, target),
+        _above_target, a, b, args=(pin, {a: fa, b: fb}, target),
         xtol=cfg.rel_tol / 4.0, rtol=max(cfg.rel_tol / 4.0, BRENTQ_MIN_RTOL),
     )
     return endpoint, False, False
 
 
-def _above_target(x, pnll, known, target):
+def _above_target(x, pin, known, target):
     """Profile value at ``x`` above ``target``, read from ``known`` when the
     bracket scan evaluated ``x`` already."""
-    return (known[x] if x in known else pnll(x)) - target
+    return (known[x] if x in known else pin(x)[0]) - target
+
+
+def _root_tol(x: float, cfg: ProfileConfig) -> float:
+    """How near ``x`` a root search stops: brentq's ``xtol + rtol * |x|``."""
+    return cfg.rel_tol / 4.0 + max(cfg.rel_tol / 4.0, BRENTQ_MIN_RTOL) * abs(x)
+
+
+def _tangent_root(x: float, f: float, g: float, target: float, base: float) -> float:
+    """Where the profile's tangent at ``x`` (value ``f``, slope ``g``) meets
+    ``target``: a Newton step in ``log(x - base)`` when ``base`` is finite
+    and below ``x``, else in ``x``; nan when the slope is unusable."""
+    if not (math.isfinite(f) and math.isfinite(g)) or g == 0.0:
+        return math.nan
+    if -math.inf < base < x < math.inf:
+        scale = x - base
+        return base + math.exp(min(math.log(scale) + (target - f) / (g * scale), 700.0))
+    return x + (target - f) / g
+
+
+def _trusted(before: tuple[float, float, float], pin: tuple[float, float, float]) -> bool:
+    """Whether ``pin``'s slope agrees with the profile values: the secant
+    from the pin ``before`` it lies between the two pins' slopes (the mean
+    value theorem for a profile whose slope is monotone between them), give
+    or take `SLOPE_SLACK` of the larger slope.  A slope read at an inner
+    optimum that is not stationary (a nuisance running off to a limit) or
+    across a jump between inner basins fails it."""
+    (x0, f0, g0), (x1, f1, g1) = before, pin
+    secant = (f1 - f0) / (x1 - x0)
+    slack = SLOPE_SLACK * max(abs(g0), abs(g1))
+    return min(g0, g1) - slack <= secant <= max(g0, g1) + slack
+
+
+def _newton_error(before, pin, new: float, base: float) -> float:
+    """How far the Newton point ``new`` from ``pin`` may lie from the
+    crossing.  When the slopes at ``before`` and ``pin`` are within a
+    factor 2 of each other, so that they describe one bend of the profile,
+    four times the step's second-order term: the bend between them, and in
+    ``log(x - base)`` that coordinate's own; else the whole step."""
+    (x0, _, g0), (x1, _, g1) = before, pin
+    step = new - x1
+    if not 0.5 <= g0 / g1 <= 2.0:
+        return abs(step)
+    bend = abs((g1 - g0) / (x1 - x0) / g1)
+    if -math.inf < base < x1:
+        bend += 1.0 / (x1 - base)
+    return 4.0 * step * step * bend
+
+
+def _slope_root(pin, inside: tuple[float, float, float], outside: tuple[float, float, float],
+                target: float, base: float, cfg: ProfileConfig) -> float:
+    """The crossing of ``target`` between the pins ``inside`` and
+    ``outside``, each ``(x, value, slope)``, ``outside`` pinned last.
+
+    Newton steps on ``pnll - target`` from the latest pin, safeguarded as
+    in Numerical Recipes' ``rtsafe``: a step that leaves the bracket, is
+    more than half the step before last, or starts from a slope that is
+    not `_trusted`, bisects (geometrically about ``base`` when it is
+    finite).  Each pin replaces the bracket end on its side.  It stops once
+    the bracket, or a Newton step's estimated error (`_newton_error`), is
+    within `_root_tol`, and returns the last step's end point, which it
+    does not pin."""
+    (a, *_), (b, *_) = inside, outside
+    before, latest = inside, outside
+    last = half = abs(b - a)
+    for _ in range(ROOT_MAX_PINS):
+        lo, hi = min(a, b), max(a, b)
+        x = latest[0]
+        new = _tangent_root(*latest, target, base)
+        newton = lo < new < hi and abs(new - x) <= half and _trusted(before, latest)
+        if not newton and -math.inf < base < lo:
+            new = base + math.sqrt((lo - base) * (hi - base))
+        elif not newton:
+            new = 0.5 * (lo + hi)
+        tol = _root_tol(new, cfg)
+        if (newton and _newton_error(before, latest, new, base) <= tol) or hi - lo <= tol:
+            break
+        half, last = 0.5 * last, abs(new - x)
+        before, latest = latest, (new, *pin(new))
+        if latest[1] > target:
+            b = new
+        else:
+            a = new
+    return new
 
 
 def profile_interval(
@@ -336,27 +483,34 @@ def profile_interval(
 
     This is the engine behind `profile_ci`; it is exposed so synthetic
     objectives (e.g. exact quadratics) can exercise the search directly.
-    A profile value below ``nll_min`` is reported as a diagnostic: the
-    optimum ``nll_min`` came from was not the global one.
+    When ``pnll`` has a ``value_and_slope`` that is not None (value ->
+    (profile NLL, its slope), as `profile_ci`'s profiles of rules with a
+    gradient do), the endpoint search follows the slope; a plain callable
+    is searched by bracket and `brentq`.  A profile value below ``nll_min``
+    is reported as a diagnostic: the optimum ``nll_min`` came from was not
+    the global one.
     """
     cfg = config or ProfileConfig()
     if cutoff is not None:
         cfg = replace(cfg, cutoff=cutoff)
     points: list[tuple[float, float]] = []
+    value_and_slope = getattr(pnll, "value_and_slope", None)
 
-    def recorded(v):
-        f = float(pnll(v))
+    def pin(v):
+        f, g = (pnll(v), math.nan) if value_and_slope is None else value_and_slope(v)
+        f = float(f)
         if math.isnan(f):
             f = math.inf  # outside the region, for the scan and the root search
         points.append((float(v), f))
-        return f
+        return f, float(g)
 
     diagnostics: list[str] = []
+    slopes = value_and_slope is not None
     lo, lo_open, lo_at_bound = _search_side(
-        recorded, -1, mle_value, nll_min, lower_bound, cfg, diagnostics
+        pin, -1, mle_value, nll_min, lower_bound, lower_bound, slopes, cfg, diagnostics
     )
     hi, hi_open, hi_at_bound = _search_side(
-        recorded, +1, mle_value, nll_min, upper_bound, cfg, diagnostics
+        pin, +1, mle_value, nll_min, upper_bound, lower_bound, slopes, cfg, diagnostics
     )
     points.sort()
     observed = [f for _, f in points if math.isfinite(f)]

@@ -36,7 +36,7 @@ from .rules import TransmissionRule, _check_rates
 __all__ = ["SimulationTrace", "simulate_diffusion", "write_trace_csv"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Per-event selection probabilities.
 

@@ -29,6 +29,7 @@ from contagionfit import (
     threshold_rule,
 )
 from contagionfit import fit as fit_module
+from contagionfit import oada
 from contagionfit.fit import BoxTransform, nll_objective
 
 GRID_ARGMIN_TOL = 0.002     # two grid steps
@@ -181,6 +182,16 @@ def test_multistart_keeps_start_when_no_run_is_finite():
     assert np.allclose(res.x, [2.0, 3.0])
 
 
+def test_multistart_result_equality_is_a_bool():
+    # == on results compares identity, not their arrays as a tuple, which
+    # would raise "truth value of an array ... is ambiguous"
+    runs = [minimize_multistart(lambda x: float((x[0] - 1.0) ** 2 + x[1] ** 2), start=[2.0, 3.0],
+                                lower=[-5.0, -5.0], upper=[5.0, 5.0], restarts=0)
+            for _ in range(2)]
+    assert (runs[0] == runs[0]) is True
+    assert (runs[0] == runs[1]) is False
+
+
 def test_gradient_multistart_backs_off_where_the_objective_raises():
     # BFGS runs when the objective carries value_and_grad; past x0 = 4 the
     # objective raises, which the line search must treat as +inf
@@ -216,8 +227,8 @@ def test_two_parameter_fit_without_finite_likelihood_raises(toy_data, rate, monk
         "full_rate": {"rate": lambda p, a, z: p[0] * (a @ z) + p[1] - 5e9},
     }[rate])
     evals = []
-    nll = fit_module._nll
-    monkeypatch.setattr(fit_module, "_nll", lambda *args: evals.append(1) or nll(*args))
+    nll = oada._Objective.__call__
+    monkeypatch.setattr(oada._Objective, "__call__", lambda *args: evals.append(1) or nll(*args))
     with pytest.raises(ValueError, match="'shifted'.*no finite likelihood"):
         fit_oada(toy_data, rule)
     assert 0 < len(evals) < 1000

@@ -48,6 +48,14 @@ def test_event_table_toy(toy_data):
     assert table.naive_flat[table.acquirer_slot[2]] == 1
 
 
+def test_event_table_equality_is_a_bool(toy_data):
+    # == on tables compares identity, not their run arrays as a tuple, which
+    # would raise "truth value of an array ... is ambiguous"
+    table = build_event_table(toy_data)
+    assert (table == table) is True
+    assert (table == build_event_table(toy_data)) is False
+
+
 def test_event_table_informed_sums(toy_data):
     table = build_event_table(toy_data)
     # second event: only individual 4 informed; 5 has the 0.8 tie to it

@@ -285,18 +285,21 @@ def test_profile_respects_fit_box(freqdep_fit):
 
 
 def test_profile_of_f_pins_zero_in_a_box_reaching_it():
-    # under FitConfig(lower=(0, 0)) the lower f search pins f = 0 exactly, where
-    # -0 * inf would be nan: the rate there is s/2 for mixed runs, s for
-    # saturated runs and 0 without informed weight.  Recorded values; the
-    # endpoints are also checked against the dense-grid profile.
+    # under FitConfig(lower=(0, 0)) f = 0 is a valid pin, where -0 * inf
+    # would be nan: the rate there is s/2 for mixed runs, s for saturated
+    # runs and 0 without informed weight.  Recorded values; the endpoints
+    # are also checked against the dense-grid profile.  The slope-guided
+    # lower search closes its endpoint from inside and never pins f = 0, so
+    # the test pins it with profile_nll.
     net = generate_network(GeneratorConfig(
         n=20, sparsity_threshold=0.5, multiplier_max=3.0, seed=18))
     data, _ = simulate_diffusion(net, frequency_dependent_rule(), [5.0, 1.0], seed=118)
     fit = fit_oada(data, frequency_dependent_rule(), FitConfig(lower=(0.0, 0.0)))
+    assert profile_nll(fit.table, fit.rule, 1, 0.0, fit=fit) == pytest.approx(
+        42.46695246281445, rel=1e-12)
     ci = profile_ci(fit, 1)
-    assert dict(ci.profile_points)[0.0] == pytest.approx(42.46695246281445, rel=1e-12)
     assert (ci.lower, ci.upper) == pytest.approx(
-        (0.10168157296045485, 47.71791566776511), rel=1e-12)
+        (0.10168162785603374, 47.71778482557004), rel=1e-12)
     for endpoint in (ci.lower, ci.upper):
         at_endpoint = dense_profile(fit.table, frequency_dependent_rule(f_lower=0.0), 1, endpoint)
         assert at_endpoint == pytest.approx(fit.nll + ci.cutoff, abs=DENSE_PROFILE_TOL)
@@ -406,14 +409,18 @@ def test_fit_finds_the_far_basin_of_pair_1010():
 
 # evaluation counts do not depend on the hardware: on the coverage panel
 # (k < 5) the gradient fits took 107-129 evaluations each, against 903-1019
-# for Nelder-Mead, and the ten intervals 252 profile points in all, against
-# 382 with bisection.  The pins of those points took 3 966 evaluations with
-# the Newton polish of the one-coordinate search, against 6 573 with bounded
-# Brent.  The fits and intervals made 1 571 O(runs) passes
-# (`oada._run_pieces`) in all, against 1 849 with bounded Brent and 7 103
-# when every evaluation made one
+# for Nelder-Mead, and the ten intervals 252 profile points in all with
+# bracket and brentq endpoints, against 382 with bisection; the 15 sides
+# that close inside the box took 167 of them.  The pins of those points
+# took 3 966 evaluations with the Newton polish of the one-coordinate
+# search, against 6 573 with bounded Brent.  The fits and intervals made
+# 1 571 O(runs) passes (`oada._run_pieces`) in all, against 1 849 with
+# bounded Brent and 7 103 when every evaluation made one.  Endpoints found
+# on the profile's slope take 198 points, 113 of them on the closed sides;
+# their pins take 3 135 evaluations, and fits and intervals 1 399 passes
 PANEL_EVALS_PER_FIT = 200
 PANEL_PROFILE_POINTS = 300
+PANEL_CLOSED_SIDE_POINTS = 125
 PANEL_PIN_EVALS = 4500
 PANEL_PIECES_PASSES = 2500
 
@@ -431,17 +438,47 @@ def test_coverage_panel_evaluation_counts(monkeypatch):
         return result
 
     monkeypatch.setattr(profile_ci_module, "minimize_multistart", counted)
-    points = 0
+    points = closed_side_points = 0
     for k in range(5):
         fit = coverage_cell_fit(k)
         assert fit.n_evals < PANEL_EVALS_PER_FIT, k
         for i in range(2):
-            pins = [x for x, _ in profile_ci(fit, i).profile_points]
+            ci = profile_ci(fit, i)
+            pins = [x for x, _ in ci.profile_points]
             assert len(set(pins)) == len(pins), (k, i)  # no pin evaluated twice
             points += len(pins)
+            if not (ci.lower_open or ci.at_lower_bound):
+                closed_side_points += sum(x < fit.mle[i] for x in pins)
+            if not (ci.upper_open or ci.at_upper_bound):
+                closed_side_points += sum(x > fit.mle[i] for x in pins)
     assert points < PANEL_PROFILE_POINTS
+    assert closed_side_points <= PANEL_CLOSED_SIDE_POINTS
     assert sum(pin_evals) < PANEL_PIN_EVALS
     assert len(passes) < PANEL_PIECES_PASSES
+
+
+# the slope a profile pin returns with its value, the NLL's derivative in
+# the pinned parameter at the inner optimum (the envelope theorem), against
+# central differences of profile_nll with steps of SLOPE_STEP times the pin;
+# on the coverage panel they agreed within 7e-6 of max(1, |slope|)
+SLOPE_STEP = 1e-4
+SLOPE_TOL = 1e-4
+
+
+def test_pinned_slope_matches_central_differences_of_the_profile():
+    for k in range(5):
+        fit = coverage_cell_fit(k)
+        lower, upper = fit.box
+        for i in range(2):
+            for value in (0.7 * fit.mle[i], 1.3 * fit.mle[i]):  # one pin on each side
+                profile = profile_ci_module._Profile(fit.table, fit.rule, i, lower, upper,
+                                                     fit.mle, value, ProfileConfig())
+                pinned, slope = profile.value_and_slope(value)
+                assert pinned == profile_nll(fit.table, fit.rule, i, value, fit=fit)
+                h = SLOPE_STEP * value
+                central = (profile_nll(fit.table, fit.rule, i, value + h, fit=fit)
+                           - profile_nll(fit.table, fit.rule, i, value - h, fit=fit)) / (2 * h)
+                assert slope == pytest.approx(central, rel=SLOPE_TOL, abs=SLOPE_TOL), (k, i, value)
 
 
 @pytest.mark.parametrize("k, index", [

@@ -164,7 +164,7 @@ def test_eval_rate_validation(toy_network):
         eval_rate(simple_rule(), np.array([1.0]), conn, np.full(5, 0.5))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     s=st.floats(0.0, 50.0),
     w=st.floats(0.0, 40.0),
@@ -178,7 +178,7 @@ def test_freqdep_f1_equals_proportional(s, w, extra):
     assert abs(got - want) <= FREQ_MATCH_TOL * max(1.0, abs(want))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     s=st.floats(0.01, 50.0),
     f=st.floats(0.2, 60.0),

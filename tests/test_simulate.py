@@ -41,6 +41,15 @@ def test_simulation_deterministic(toy_network):
     assert not np.array_equal(d1.order, d2.order)
 
 
+def test_trace_equality_is_a_bool(toy_network):
+    # == on traces compares identity, not their arrays as a tuple, which
+    # would raise "truth value of an array ... is ambiguous"
+    _, ta = simulate_diffusion(toy_network, simple_rule(), [2.0], seed=12)
+    _, tb = simulate_diffusion(toy_network, simple_rule(), [2.0], seed=12)
+    assert (ta == ta) is True
+    assert (ta == tb) is False
+
+
 def test_simulation_is_complete_permutation(toy_network):
     data, trace = simulate_diffusion(toy_network, proportional_rule(), [3.0], seed=5)
     assert sorted(data.order.tolist()) == [0, 1, 2, 3, 4]
