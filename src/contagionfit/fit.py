@@ -10,11 +10,11 @@ coordinates picks the method:
 - one (simple, proportional, the nuisance of a two-parameter profile): a
   fixed scan of 11 points over +-10 internal units around the start, stepped
   outward while the best point is at the edge, then a polish of each local
-  minimum of the scan between its neighbours: safeguarded Newton steps when
-  the objective carries its first and second derivatives along the
-  coordinate (the built-in simple, proportional and freqdep rules, see
-  `nll_objective`), else bounded Brent (threshold, custom and ``full_rate``
-  rules);
+  minimum of the scan between its neighbours by safeguarded Newton steps,
+  on the first and second derivatives along the coordinate that the
+  objective carries (the built-in simple, proportional and freqdep rules,
+  see `nll_objective`), else on central differences of its values
+  (threshold, custom and ``full_rate`` rules);
 - two or more: a local search from the start plus ``restarts`` jittered
   restarts; the best end point wins, with ties broken toward the earlier
   start so results are reproducible.  The search is BFGS when the objective
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .oada import DiffusionData, EventTable, aicc, build_event_table, nll_objective
@@ -66,9 +66,11 @@ SCAN_POINTS = 11
 SCAN_MAX_STEPS = 30  # outward steps of the grid spacing past the grid's edge
 POLISH_XATOL = 1e-5
 # Newton polish (`_newton_polish`): it stops once it can gain less than
-# POLISH_RTOL * max(1, |value|), or after POLISH_MAX_STEPS steps
+# POLISH_RTOL * max(1, |value|), or after POLISH_MAX_STEPS steps; without
+# derivatives it takes central differences with step POLISH_DIFF_STEP
 POLISH_RTOL = 1e-12
 POLISH_MAX_STEPS = 60
+POLISH_DIFF_STEP = 1e-4  # in the internal coordinate
 # finite-difference Hessian step: relative to each coordinate, with a floor
 HESSIAN_REL_STEP = 1e-4
 HESSIAN_ABS_FLOOR = 1e-6
@@ -85,11 +87,10 @@ class FitConfig:
     """Optimizer settings.
 
     ``start``/``lower``/``upper`` default to the rule's own values; for a
-    one-parameter rule ``start`` is the centre of the scan, whose polish
-    (Newton steps for the built-in rules, bounded Brent for custom ones)
-    takes no setting.  ``restarts`` and ``seed`` set the multistart and so
-    act only on rules with two or more parameters: BFGS for the freqdep
-    rule, Nelder-Mead for the others.
+    one-parameter rule ``start`` is the centre of the scan, whose Newton
+    polish takes no setting.  ``restarts`` and ``seed`` set the multistart
+    and so act only on rules with two or more parameters: BFGS for the
+    freqdep rule, Nelder-Mead for the others.
     ``tolerance`` and ``max_evals`` act on Nelder-Mead only; BFGS stops at
     scipy's gradient tolerance.  The jitter applied to restarts is
     multiplicative U[0.25, 4] on the distance from one-sided bounds
@@ -318,17 +319,18 @@ def minimize_multistart(
     The dimension picks the method.  With no coordinates the objective is
     evaluated once.  With one, `_scan_and_polish` scans a grid around
     ``centre`` (default ``start``) plus ``start`` itself and polishes the
-    best point, by Newton steps when ``objective`` carries ``along``
-    ((params, 0) -> (value, first and second derivative), as `nll_objective`
-    gives for the simple, proportional and freqdep rules), else by bounded
-    Brent; ``restarts``, ``tolerance``, ``max_evals`` and ``seed`` are not
-    used.  With two or more, a local search runs from ``start`` plus
-    ``restarts`` jittered restarts, all on the transformed space: BFGS when
-    ``objective`` carries ``value_and_grad`` (params -> (value, gradient),
-    as `nll_objective` gives for the freqdep rule), else Nelder-Mead, which
-    alone uses ``tolerance`` and ``max_evals``.  ``n_evals`` counts
-    objective evaluations, a value-and-gradient or a value-and-derivatives
-    evaluation as one.
+    best point by Newton steps, on ``objective.along`` ((params, 0) ->
+    (value, first and second derivative), as `nll_objective` gives for the
+    simple, proportional and freqdep rules) when it has one, else on
+    central differences; ``restarts``, ``tolerance``, ``max_evals`` and
+    ``seed`` are not used.  With two or more, a local search runs from
+    ``start`` plus ``restarts`` jittered restarts, all on the transformed
+    space: BFGS when ``objective`` carries ``value_and_grad`` (params ->
+    (value, gradient), as `nll_objective` gives for the freqdep rule), else
+    Nelder-Mead, which alone uses ``tolerance`` and ``max_evals``.
+    ``n_evals`` counts objective calls, a value-and-gradient or a
+    value-and-derivatives call as one, so a differenced pair of
+    derivatives counts three.
 
     The answer never has a higher objective than the start point, which is
     kept when a run goes astray or none finds a finite value; the winner is
@@ -434,9 +436,7 @@ def _scan_and_polish(obj, along, transform: BoxTransform, z_start: float, z_cent
     stopped in a shallow local minimum.  Each local minimum of the scanned
     values, the best point first, is then polished between its two
     neighbours, so a basin whose scanned points all lie above a far plateau
-    is still searched: `_newton_polish` when ``along`` gives the
-    objective's first and second derivatives (``along(x, 0) -> (value,
-    first, second)``), else bounded Brent.  The lowest polished value wins,
+    is still searched by `_newton_polish`.  The lowest polished value wins,
     the best point's on ties; it is never worse than the best scanned
     point, hence never worse than the start.
     """
@@ -466,25 +466,12 @@ def _scan_and_polish(obj, along, transform: BoxTransform, z_start: float, z_cent
                          and (i == 0 or fs[i] < fs[i - 1]) and (i == last or fs[i] < fs[i + 1])]
         for i in dips:
             bracket = zs[max(i - 1, 0)], zs[min(i + 1, last)]
-            if along is not None:
-                z, f, n_polish = _newton_polish(along, at, transform, *bracket, zs[i], fs[i])
-            else:
-                z, f, n_polish = _brent_polish(at, *bracket, zs[i], fs[i])
+            z, f, n_polish = _newton_polish(along, at, transform, *bracket, zs[i], fs[i])
             n_evals += n_polish
             if f < f_best:
                 z_best, f_best = z, f
     x_best = transform.to_external([z_best])
     return MultistartResult(x_best, f_best, math.isfinite(f_best), n_evals)
-
-
-def _brent_polish(at, lo: float, hi: float, z: float, f: float):
-    """Bounded Brent on [``lo``, ``hi``], for objectives without derivatives:
-    (point, value, evaluations), the point ``z`` (value ``f``) unless Brent
-    finds a lower value."""
-    res = minimize_scalar(at, bounds=(lo, hi), method="bounded", options={"xatol": POLISH_XATOL})
-    if res.fun < f:
-        return float(res.x), float(res.fun), res.nfev
-    return z, f, res.nfev
 
 
 def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: float,
@@ -493,15 +480,28 @@ def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: 
     scanned point ``z`` (value ``f``) inside the bracket [``lo``, ``hi``],
     whose ends are no lower: (point, value, evaluations).
 
+    The first and second derivatives come from ``along`` (``along(x, 0) ->
+    (value, first, second)`` in the parameter, chained through the
+    transform), or, when it is None, from central differences of ``at``
+    (the plain value) with step `POLISH_DIFF_STEP`, three evaluations each;
+    the internal coordinate has no bound, so both steps stay in the box.
     The sign of the derivative at ``z`` rules out the part of the bracket
     behind it, so Newton steps (`_newton_steps`) descend into the other
     part.  A basin behind a rise can hide in the part ruled out, so its
-    midpoint is probed by ``at`` (the plain value); when it is lower than
-    ``f``, that part is polished from there as well, and the lower end
-    point wins.  The value never rises above ``f``.
+    midpoint is probed by ``at``; when it is lower than ``f``, that part is
+    polished from there as well, and the lower end point wins.  The value
+    never rises above ``f``.
     """
+    n_evals = 0
 
     def derivatives(z):
+        nonlocal n_evals
+        if along is None:
+            n_evals += 3
+            step = POLISH_DIFF_STEP
+            value, up, down = at(z), at(z + step), at(z - step)
+            return value, (up - down) / (2.0 * step), (up - 2.0 * value + down) / (step * step)
+        n_evals += 1
         try:
             value, first, second = along(transform.to_external([z]), 0)
         except _OBJECTIVE_ERRORS:
@@ -510,8 +510,7 @@ def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: 
         return value, first * slope, second * slope * slope + first * bend
 
     _, g, h = derivatives(z)
-    z_end, f_end, n_steps = _newton_steps(derivatives, lo, hi, z, f, g, h)
-    n_evals = 1 + n_steps
+    z_end, f_end = _newton_steps(derivatives, lo, hi, z, f, g, h)
     behind = (lo, z) if g < 0 else (z, hi) if g > 0 else None
     if behind is not None and behind[1] - behind[0] >= POLISH_XATOL:
         mid = 0.5 * (behind[0] + behind[1])
@@ -519,9 +518,7 @@ def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: 
         n_evals += 1
         if f_mid < f:
             _, g_mid, h_mid = derivatives(mid)
-            z_other, f_other, n_steps = _newton_steps(derivatives, *behind, mid, f_mid, g_mid,
-                                                      h_mid)
-            n_evals += 1 + n_steps
+            z_other, f_other = _newton_steps(derivatives, *behind, mid, f_mid, g_mid, h_mid)
             if f_other < f_end:
                 z_end, f_end = z_other, f_other
     return z_end, f_end, n_evals
@@ -529,7 +526,7 @@ def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: 
 
 def _newton_steps(derivatives, lo: float, hi: float, z: float, f: float, g: float, h: float):
     """Newton steps from ``z`` (value ``f``, first and second derivatives
-    ``g`` and ``h``) inside [``lo``, ``hi``]: (point, value, evaluations).
+    ``g`` and ``h``) inside [``lo``, ``hi``]: (point, value).
 
     The sign of the derivative at the best point moves the bracket's end
     behind it to that point, so the best point is an end of the bracket,
@@ -542,7 +539,6 @@ def _newton_steps(derivatives, lo: float, hi: float, z: float, f: float, g: floa
     bracket width promises a gain of `POLISH_RTOL` relative to the value.
     Only better points are taken, so the value never rises above ``f``.
     """
-    n_evals = 0
     for _ in range(POLISH_MAX_STEPS):
         if g > 0:
             hi = z
@@ -563,14 +559,13 @@ def _newton_steps(derivatives, lo: float, hi: float, z: float, f: float, g: floa
         else:
             z_new = 0.5 * (lo + hi)
         f_new, g_new, h_new = derivatives(z_new)
-        n_evals += 1
         if f_new < f:
             z, f, g, h = z_new, f_new, g_new, h_new
         elif z_new > z:
             hi = z_new
         else:
             lo = z_new
-    return z, f, n_evals
+    return z, f
 
 
 def hessian_standard_errors(
@@ -666,7 +661,8 @@ def fit_oada(
     one of a rule with no free parameters, scan plus polish for one
     parameter, all starts for more, where a BFGS evaluation of the NLL and
     its gradient, or a Newton evaluation of the NLL and its first and
-    second derivatives, counts as one.  Raises ValueError when no point the
+    second derivatives, counts as one, and their central differences (a
+    rule without derivatives) as three.  Raises ValueError when no point the
     search visited gives a finite NLL (the rule's rate is invalid there).
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)

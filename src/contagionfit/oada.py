@@ -79,6 +79,8 @@ __all__ = [
     "write_order_file",
 ]
 
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # once per evaluation
+
 # shapes whose pieces one objective keeps (`_ShapeObjective`), each 2·D + 2
 # floats: 1 MB at D = 1000; enough for the nuisance grid an s-profile pin
 # scans again (`fit.SCAN_POINTS`) plus the points one pin adds
@@ -363,17 +365,16 @@ def _run_pieces(x: np.ndarray, table: EventTable) -> tuple[np.ndarray, np.ndarra
     run it replaces, and an acquirer's value leaves after its event.
     """
     first, replaced, groups, empty = table._flow_index
-    with np.errstate(invalid="ignore", over="ignore"):
-        change = np.empty(x.size + 1)  # the pad lets trailing empty groups index R
-        change[:-1] = x
-        change[-1] = 0.0
-        change[first:-1] -= x[replaced]
-        flow = np.add.reduceat(change, groups)
-        if empty is not None:
-            flow[empty] = 0.0
-        a = x[table.acquirer_run]
-        flow[1:] -= a[:-1]
-        return np.cumsum(flow), a
+    change = np.empty(x.size + 1)  # the pad lets trailing empty groups index R
+    change[:-1] = x
+    change[-1] = 0.0
+    change[first:-1] -= x[replaced]
+    flow = np.add.reduceat(change, groups)
+    if empty is not None:
+        flow[empty] = 0.0
+    a = x[table.acquirer_run]
+    flow[1:] -= a[:-1]
+    return np.cumsum(flow), a
 
 
 def _scaled_nll(s: float, pieces, table: EventTable) -> tuple[float, np.ndarray]:
@@ -381,12 +382,11 @@ def _scaled_nll(s: float, pieces, table: EventTable) -> tuple[float, np.ndarray]
     from the `_run_pieces` of ``x``, ``Σ log(n_naive + s·C) − Σ log1p(s·a)``.
 
     The NLL is +inf instead of nan when rates overflow, so optimizers
-    always see an ordered objective.
+    always see an ordered objective (under `_QUIET`, which callers enter).
     """
     c, a = pieces
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = table._naive_count + s * c
-        val = float(np.log(denom).sum() - np.log1p(s * a).sum())
+    denom = table._naive_count + s * c
+    val = float(np.log(denom).sum() - np.log1p(s * a).sum())
     return (val if math.isfinite(val) else math.inf), denom
 
 
@@ -428,7 +428,8 @@ class _Objective:
     generic walk for rules without ``sums_rate``, else the `_run_pieces` of
     ``run_rates`` (the rule's `TransmissionRule.run_rates` on the table's
     ``(run_w, run_total)``) at scale 1.  ``value_and_grad`` and ``along``
-    are None: a minimizer that reads them searches without derivatives."""
+    are None: the one-coordinate polish and the profile's slope difference
+    the values instead, and two or more coordinates run Nelder-Mead."""
 
     value_and_grad = None
     along = None
@@ -443,7 +444,8 @@ class _Objective:
         if self.run_rates is None:
             return _nll_generic(self.rule, params, self.table)
         rates = _check_rates(self.rule, self.run_rates(params))
-        return _scaled_nll(1.0, _run_pieces(rates, self.table), self.table)[0]
+        with np.errstate(**_QUIET):
+            return _scaled_nll(1.0, _run_pieces(rates, self.table), self.table)[0]
 
     def pin(self, index: int, value: float) -> _Pinned:
         """This objective with parameter ``index`` held at ``value``."""
@@ -483,7 +485,8 @@ class _ShapeObjective(_Objective):
         return val, c, a, denom
 
     def __call__(self, params) -> float:
-        return self._scaled(np.asarray(params, dtype=float))[0]
+        with np.errstate(**_QUIET):
+            return self._scaled(np.asarray(params, dtype=float))[0]
 
     def value_and_grad(self, params) -> tuple[float, np.ndarray]:
         """NLL and its gradient in the parameters, for rates whose
@@ -499,9 +502,9 @@ class _ShapeObjective(_Objective):
         params = np.asarray(params, dtype=float)
         s, rest = params[0], params[1:]
         x, dx = self.run_rates.shape_jacobian(rest)
-        val, c, a, denom = self._scaled(params, shape=x)
         table = self.table
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(**_QUIET):
+            val, c, a, denom = self._scaled(params, shape=x)
             inv_denom = 1.0 / denom
             inv_acq = 1.0 / (1.0 + s * a)
             grad = np.empty(params.size)
@@ -531,12 +534,10 @@ class _ShapeObjective(_Objective):
         """
         params = np.asarray(params, dtype=float)
         s = params[0]
-        if index == 0:
-            val, c, a, denom = self._scaled(params)
-        else:
-            x, dx, d2x = self.run_rates.shape_along(params[1:], index - 1)
-            val, c, a, denom = self._scaled(params, shape=x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shape, dx, d2x = (self.run_rates.shape_along(params[1:], index - 1) if index
+                          else (None, None, None))
+        with np.errstate(**_QUIET):
+            val, c, a, denom = self._scaled(params, shape=shape)
             acq_denom = 1.0 + s * a
             if index == 0:
                 u, v = c / denom, a / acq_denom
@@ -548,12 +549,14 @@ class _ShapeObjective(_Objective):
             second = float((s * c2 / denom).sum() - u @ u - (s * a2 / acq_denom).sum() + v @ v)
         return val, first, second
 
+
 class _Pinned:
     """An objective with parameter ``index`` held at ``value``: a callable
     of the other parameters, the *free* ones, with ``along`` over them when
     the objective has it.  With a gradient, ``slope`` gives the NLL's
     derivative in the pinned parameter, which at the optimum over the free
-    parameters is the slope of the profile (the envelope theorem)."""
+    parameters is the slope of the profile (the envelope theorem); without
+    one, `profile_ci._Profile` differences the values."""
 
     def __init__(self, objective: _Objective, index: int, value: float):
         self.objective = objective

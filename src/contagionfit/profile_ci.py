@@ -10,22 +10,21 @@ Endpoint search: pins step away from the MLE (first offset 10% of |MLE|
 with a 1e-3 floor), each at most twice as far from it as the last, until
 one lies outside the region, plus one lookahead pin at twice that offset,
 so that a profile that comes back into the region is followed to its
-outermost crossing (a diagnostic records the non-monotone profile).  Where
-the profile has a slope, the search follows it: at a pin, the slope is
-the NLL's derivative in the pinned parameter at the inner optimum (the
-envelope theorem), O(D) along s and one adjoint pass along f, for the
-built-in simple, proportional and freqdep rules.  A pin inside then steps
-to where the tangent meets the cutoff (in the log of the distance to a
-lower bound), when that is nearer than doubling and the straight tangent
-stays inside the box, and safeguarded Newton steps on ``pnll - target``
-find the crossing (Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94),
-bisecting when a step leaves the bracket or a slope disagrees with the
-values around it.  Without a slope (threshold, custom and ``full_rate``
-rules, and plain callables passed to `profile_interval`) the offsets
-double, and scipy's `brentq` finds the crossing between the last pin
-inside and the first pin outside, started from the values known there; a
-side that ends open or on a box bound mostly pins the same either way.
-The root search stops once the endpoint is known to within
+outermost crossing (a diagnostic records the non-monotone profile).  The
+search follows the profile's slope, which at a pin is the NLL's
+derivative in the pinned parameter at the inner optimum (the envelope
+theorem): exact for the built-in simple, proportional and freqdep rules
+(O(D) along s, one adjoint pass along f), and a central difference of the
+NLL in the pinned parameter at the inner optimum for the other rules (two
+evaluations, no inner fit); a plain callable passed to `profile_interval`
+is differenced itself.  A pin inside steps to where the tangent meets the
+cutoff (in the log of the distance to a lower bound), when that is nearer
+than doubling and the straight tangent stays inside the box; a tangent
+that lands on the crossing counts as the exit that the lookahead pin
+follows.  Safeguarded Newton steps on ``pnll - target`` find the crossing
+(Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94), bisecting when a step
+leaves the bracket or a slope disagrees with the values around it.  The
+root search stops once the endpoint is known to within
 ``rel_tol / 4 * (1 + |estimate|)``: relative to the estimate, not to the
 bracket, which for a runaway MLE spans many orders of magnitude.  A
 profile value that is nan counts as +inf, so outside.  A side that
@@ -39,12 +38,12 @@ parameters picks the method.  A one-parameter rule's profile is its NLL at
 the pin.  A two-parameter rule scans its one nuisance, centred on the fit
 MLE's value, from the warm start of this side of the MLE, and polishes with
 safeguarded Newton steps on the NLL's first and second derivatives along
-the nuisance (freqdep; each pin passes on the objective's ``along`` for its
-free coordinate), or with bounded Brent (threshold); the outward steps of
-the scan follow a profile that falls towards a limit (f -> infinity, a step
-rule).  Rules with three or more parameters run Nelder-Mead multistart
-(`ProfileConfig.inner_restarts`, `inner_max_evals` and `seed` act only on
-them).
+the nuisance (each pin passes on the objective's ``along`` for its free
+coordinate; central differences stand in for a rule without it); the
+outward steps of the scan follow a profile that falls towards a limit
+(f -> infinity, a step rule).  Rules with three or more parameters run
+Nelder-Mead multistart (`ProfileConfig.inner_restarts`, `inner_max_evals`
+and `seed` act only on them).
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .fit import FitResult, minimize_multistart, nll_objective
+from .fit import FitResult, _safe, minimize_multistart, nll_objective
 from .oada import DiffusionData, EventTable, build_event_table
 from .rules import TransmissionRule
 
@@ -75,8 +73,10 @@ FIRST_OFFSET_FLOOR = 1e-3
 BRACKET_FACTOR = 2.0
 CEILING_SCALE = 1e6
 INNER_TOLERANCE = 1e-8
-BRENTQ_MIN_RTOL = 4 * np.finfo(float).eps  # scipy's brentq refuses a smaller rtol
-ROOT_MAX_PINS = 100  # pins one slope-guided root search may take
+ROOT_MIN_RTOL = 4 * np.finfo(float).eps  # floor of the root tolerance's relative part
+ROOT_MAX_PINS = 100  # pins one root search may take
+# central-difference step of a slope without a gradient, times 1 + |x|
+SLOPE_DIFF_STEP = 1e-5
 # a pin's slope is trusted when the secant from the pin before it lies
 # between the two pins' slopes, give or take this share of the larger one
 SLOPE_SLACK = 0.1
@@ -92,8 +92,8 @@ class ProfileConfig:
     ``inner_restarts``, ``inner_max_evals`` and ``seed`` set the Nelder-Mead
     multistart of the inner fit, which only rules with three or more
     parameters use; two-parameter rules minimize their one nuisance by a
-    fixed scan and a Newton polish (bounded Brent for threshold), which
-    take no setting (see the module docstring).
+    fixed scan and a Newton polish, which take no setting (see the module
+    docstring).
     """
 
     cutoff: float = DEFAULT_CUTOFF
@@ -178,8 +178,8 @@ class _Profile:
     directions of an interval search and neither inherits the other's
     optimum.  A pinned view carries the objective's ``along`` for its free
     coordinates, when the objective has it, so a one-nuisance search ends
-    in a Newton polish.  When the objective has a gradient,
-    ``value_and_slope`` gives the profile value with its slope.
+    in a Newton polish.  ``value_and_slope`` gives the profile value with
+    its slope.
     """
 
     def __init__(self, table, rule, index, lower, upper, start, centre, cfg):
@@ -188,6 +188,7 @@ class _Profile:
         self.centre = centre
         self.cfg = cfg
         self.free_start = np.delete(np.asarray(start, dtype=float), index)
+        self.bounds = lower[index], upper[index]
         self.lower = np.delete(lower, index)
         self.upper = np.delete(upper, index)
         self.side = None
@@ -217,16 +218,31 @@ class _Profile:
     def __call__(self, value: float) -> float:
         return self._pin(value)[1].fun
 
-    @property
-    def value_and_slope(self):
-        """value -> (profile NLL, its slope), or None without a gradient."""
-        return None if self.objective.value_and_grad is None else self._value_and_slope
-
-    def _value_and_slope(self, value: float) -> tuple[float, float]:
-        # the envelope theorem: the profile's slope is the NLL's derivative
-        # in the pinned parameter at the inner optimum
+    def value_and_slope(self, value: float) -> tuple[float, float]:
+        """(profile NLL, its slope) at ``value``.  By the envelope theorem
+        the slope is the NLL's derivative in the pinned parameter at the
+        inner optimum: `oada._Pinned.slope` when the objective has a
+        gradient, else a central difference of the NLL at the inner
+        optimum's free parameters, two evaluations and no inner fit."""
         view, ms = self._pin(value)
-        return ms.fun, view.slope(ms.x) if math.isfinite(ms.fun) else math.nan
+        if not math.isfinite(ms.fun):
+            return ms.fun, math.nan
+        if self.objective.value_and_grad is not None:
+            return ms.fun, view.slope(ms.x)
+        return ms.fun, _difference_slope(
+            lambda v: _safe(self.objective.pin(self.index, v))(ms.x), value, ms.fun, *self.bounds)
+
+
+def _difference_slope(value_at, x: float, f: float, lower: float, upper: float) -> float:
+    """Slope of ``value_at`` at ``x`` (value ``f``) by a central difference
+    with step `SLOPE_DIFF_STEP` times ``1 + |x|``, one-sided where a step
+    would leave [``lower``, ``upper``]; nan when both would."""
+    h = SLOPE_DIFF_STEP * (1.0 + abs(x))
+    hi = x + h if x + h <= upper else x
+    lo = x - h if x - h >= lower else x
+    if hi == lo:
+        return math.nan
+    return ((value_at(hi) if hi != x else f) - (value_at(lo) if lo != x else f)) / (hi - lo)
 
 
 def profile_nll(
@@ -242,10 +258,9 @@ def profile_nll(
     For single-parameter rules this is just the NLL at the pinned value.
     The inner search starts from the fit MLE's free components (the rule's
     default start without a fit): a scan and a Newton polish of the nuisance
-    for two-parameter rules (bounded Brent for threshold), Nelder-Mead
-    multistart for larger ones.  Pins outside the parameter box raise
-    ValueError.  The box is the one ``fit`` searched (`FitResult.box`) when
-    a fit is given, else the rule's own.
+    for two-parameter rules, Nelder-Mead multistart for larger ones.  Pins
+    outside the parameter box raise ValueError.  The box is the one ``fit``
+    searched (`FitResult.box`) when a fit is given, else the rule's own.
     """
     table = data if isinstance(data, EventTable) else build_event_table(data)
     k = rule.n_params
@@ -273,31 +288,25 @@ def _search_side(
     nll_min: float,
     bound: float,
     base: float,
-    slopes: bool,
     cfg: ProfileConfig,
     diagnostics: list[str],
 ):
     """Find one interval endpoint.  Returns (endpoint, open_flag, at_bound).
 
     ``pin(x)`` gives the profile value at ``x``, never nan
-    (`profile_interval` records nan as +inf), and, when ``slopes`` is set,
-    its slope (nan where unknown).  Pins step away from the MLE, each at
-    most twice as far from it as the last, until the region has been left
-    twice or the limit (box bound or ceiling) is pinned: one lookahead pin
-    follows the first exit, so a profile that comes back into the region
-    (a non-monotone one) is followed to its outermost crossing, which lies
-    between the last pin inside and the pin after it.
-
-    Without slopes the offsets double, and scipy's `brentq` finds the
-    crossing, started from the values known at its ends so that no pin is
-    evaluated twice.  With slopes a pin inside whose slope is `_trusted`
-    and points outward steps instead to where the profile's tangent meets
-    the target (`_tangent_root`, in ``log(x - base)`` when ``base``, the
-    parameter's lower bound, is finite), when that is nearer than doubling
-    and the straight tangent does not pass the box bound.  Once such a
-    step is within `_root_tol` of its estimated crossing (`_newton_error`),
-    the side ends there; otherwise `_slope_root` finds the crossing after
-    the first pin outside.
+    (`profile_interval` records nan as +inf), and its slope (nan where
+    unknown).  Pins step away from the MLE, each at most twice as far from
+    it as the last, until the region has been left twice or the limit (box
+    bound or ceiling) is pinned: one lookahead pin follows the first exit,
+    so a profile that comes back into the region (a non-monotone one) is
+    followed to its outermost crossing.  A pin inside whose slope is
+    `_trusted` and points outward steps to where the profile's tangent
+    meets the target (`_tangent_root`, in ``log(x - base)`` when ``base``,
+    the parameter's lower bound, is finite) instead of doubling, when that
+    is nearer and the straight tangent does not pass the box bound.  A step
+    within `_root_tol` of its estimated crossing (`_newton_error`) is an
+    exit and ends there; otherwise `_slope_root` finds the crossing after
+    the last pin inside.
     """
     target = nll_min + cfg.cutoff
     ceiling_span = CEILING_SCALE * max(1.0, abs(mle))
@@ -313,25 +322,26 @@ def _search_side(
 
     offset = max(FIRST_OFFSET_FRAC * abs(mle), FIRST_OFFSET_FLOOR)
     pins = [(mle, nll_min, 0.0)]  # (x, value, slope); the fit's MLE is a stationary point
-    exits = 0
-    root = None  # with slopes: (index of the last pin inside, the crossing after it)
+    exits = crossings = 0  # odd crossings: the last pin or tangent is outside
+    root = None  # (index of the last pin inside, the crossing after it)
     x = mle + direction * offset
     while True:
         if direction * (x - limit) >= 0:
             x = limit
         pins.append((x, *pin(x)))
         _, f, g = pins[-1]
+        crossings += (f > target) != (crossings % 2 == 1)
         if x == limit:
             break
         if f > target:
             exits += 1
             if exits >= 2:  # one lookahead point past the first exit
                 break
-            if slopes:  # found now, so that none of its pins starts from the lookahead's optimum
-                root = len(pins) - 2, _slope_root(pin, pins[-2], pins[-1], target, base, cfg)
+            # found now, so that none of its pins starts from the lookahead's optimum
+            root = len(pins) - 2, _slope_root(pin, pins[-2], pins[-1], target, base, cfg)
         offset *= BRACKET_FACTOR
         x = mle + direction * offset
-        if slopes and f <= target and direction * g > 0 and _trusted(pins[-2], pins[-1]):
+        if f <= target and direction * g > 0 and _trusted(pins[-2], pins[-1]):
             tangent = _tangent_root(*pins[-1], target, base)
             # a tangent in log(x - base) never reaches a box bound: where the
             # straight one passes the bound, the doubling goes on to pin it
@@ -341,53 +351,38 @@ def _search_side(
                 x, offset = tangent, direction * (tangent - mle)
                 if (direction * (limit - x) > 0
                         and _newton_error(pins[-2], pins[-1], x, base) <= _root_tol(x, cfg)):
-                    root = len(pins) - 1, x  # tangents reached the crossing from inside
-                    break
+                    # tangents reached the crossing from inside: an exit
+                    root = len(pins) - 1, x
+                    crossings += 1
+                    exits += 1
+                    if exits >= 2:
+                        break
+                    offset *= BRACKET_FACTOR
+                    x = mle + direction * offset
 
-    inside = [f <= target for _, f, _ in pins]
-    if root is not None and root[0] == len(pins) - 1:
-        inside.append(False)  # the crossing after the last pin
-    crossings = sum(1 for a, b in zip(inside, inside[1:]) if a != b)
     if crossings > 1:
         diagnostics.append(
             f"non-monotone profile on the {'upper' if direction > 0 else 'lower'} "
             f"side; outermost crossing used"
         )
-    if inside[-1]:
+    if crossings % 2 == 0:
         # the scan ended (at the box bound or the ceiling) still inside the
         # confidence region
         if limited_by_bound:
             return limit, False, True  # truncated at the box bound
         return limit, True, False  # open: ceiling reached inside the region
 
-    # the scan's last pin is outside, so the pin after the last one inside is
-    # outside too
-    last_in = max(i for i, ok in enumerate(inside) if ok)
-    if slopes:
-        if root is None or root[0] != last_in:
-            root = last_in, _slope_root(pin, pins[last_in], pins[last_in + 1], target, base, cfg)
-        return root[1], False, False
-    (a, fa, _), (b, fb, _) = pins[last_in], pins[last_in + 1]
-    # the profile goes in as args: scipy wraps the callable in a function
-    # that refers to itself, a reference cycle that would keep a closure
-    # over ``pin`` (its objective and cached event sums) alive until the
-    # next cyclic garbage collection
-    endpoint = brentq(
-        _above_target, a, b, args=(pin, {a: fa, b: fb}, target),
-        xtol=cfg.rel_tol / 4.0, rtol=max(cfg.rel_tol / 4.0, BRENTQ_MIN_RTOL),
-    )
-    return endpoint, False, False
-
-
-def _above_target(x, pin, known, target):
-    """Profile value at ``x`` above ``target``, read from ``known`` when the
-    bracket scan evaluated ``x`` already."""
-    return (known[x] if x in known else pin(x)[0]) - target
+    # the side ended outside, so a crossing follows the last pin inside
+    last_in = max(i for i, (_, f, _) in enumerate(pins) if f <= target)
+    if root is None or root[0] != last_in:
+        root = last_in, _slope_root(pin, pins[last_in], pins[last_in + 1], target, base, cfg)
+    return root[1], False, False
 
 
 def _root_tol(x: float, cfg: ProfileConfig) -> float:
-    """How near ``x`` a root search stops: brentq's ``xtol + rtol * |x|``."""
-    return cfg.rel_tol / 4.0 + max(cfg.rel_tol / 4.0, BRENTQ_MIN_RTOL) * abs(x)
+    """How near ``x`` a root search stops: ``rel_tol / 4 * (1 + |x|)``,
+    with a relative part no finer than `ROOT_MIN_RTOL`."""
+    return cfg.rel_tol / 4.0 + max(cfg.rel_tol / 4.0, ROOT_MIN_RTOL) * abs(x)
 
 
 def _tangent_root(x: float, f: float, g: float, target: float, base: float) -> float:
@@ -483,12 +478,12 @@ def profile_interval(
 
     This is the engine behind `profile_ci`; it is exposed so synthetic
     objectives (e.g. exact quadratics) can exercise the search directly.
-    When ``pnll`` has a ``value_and_slope`` that is not None (value ->
-    (profile NLL, its slope), as `profile_ci`'s profiles of rules with a
-    gradient do), the endpoint search follows the slope; a plain callable
-    is searched by bracket and `brentq`.  A profile value below ``nll_min``
-    is reported as a diagnostic: the optimum ``nll_min`` came from was not
-    the global one.
+    The endpoint search follows the profile's slope: ``pnll``'s
+    ``value_and_slope`` (value -> (profile NLL, its slope), as
+    `profile_ci`'s profiles have), else a central difference of ``pnll``
+    (`_difference_slope`), whose two extra values are not recorded as
+    pins.  A profile value below ``nll_min`` is reported as a diagnostic:
+    the optimum ``nll_min`` came from was not the global one.
     """
     cfg = config or ProfileConfig()
     if cutoff is not None:
@@ -497,7 +492,11 @@ def profile_interval(
     value_and_slope = getattr(pnll, "value_and_slope", None)
 
     def pin(v):
-        f, g = (pnll(v), math.nan) if value_and_slope is None else value_and_slope(v)
+        if value_and_slope is None:
+            f = float(pnll(v))
+            g = _difference_slope(lambda u: float(pnll(u)), v, f, lower_bound, upper_bound)
+        else:
+            f, g = value_and_slope(v)
         f = float(f)
         if math.isnan(f):
             f = math.inf  # outside the region, for the scan and the root search
@@ -505,12 +504,11 @@ def profile_interval(
         return f, float(g)
 
     diagnostics: list[str] = []
-    slopes = value_and_slope is not None
     lo, lo_open, lo_at_bound = _search_side(
-        pin, -1, mle_value, nll_min, lower_bound, lower_bound, slopes, cfg, diagnostics
+        pin, -1, mle_value, nll_min, lower_bound, lower_bound, cfg, diagnostics
     )
     hi, hi_open, hi_at_bound = _search_side(
-        pin, +1, mle_value, nll_min, upper_bound, lower_bound, slopes, cfg, diagnostics
+        pin, +1, mle_value, nll_min, upper_bound, lower_bound, cfg, diagnostics
     )
     points.sort()
     observed = [f for _, f in points if math.isfinite(f)]

@@ -253,6 +253,21 @@ def test_one_parameter_fit_follows_profile_past_a_rise():
     assert fit.nll <= 363.662
 
 
+def test_custom_one_parameter_rules_fit_like_the_simple_rule():
+    # s * w_informed as a custom sums rate and as a custom full rate: neither
+    # has derivatives, so the polish runs on central differences of the NLL
+    by_sums = custom_rule("sums", ["s"], sums_rate=lambda p, w, tot: p[0] * w,
+                          default_start=(1.0,))
+    by_full = custom_rule("full", ["s"], rate=lambda p, a, z: p[0] * float(a @ z),
+                          default_start=(1.0,))
+    for seed in range(5):
+        table = _simple_dataset(seed=300 + seed, s=0.5 * (seed + 1), n=30)
+        want = fit_oada(table, simple_rule()).nll
+        for rule in (by_sums, by_full):
+            fit = fit_oada(table, rule)
+            assert fit.nll == pytest.approx(want, abs=1e-9), (seed, rule.kind)
+
+
 def dense_grid_nll(rule, table):
     """Minimum NLL of a one-parameter rule over s = 0 and 401 log-spaced
     values of s from 1e-8 to 1e12, and the NLL at s = 0."""
