@@ -20,7 +20,11 @@ coordinates picks the method:
   start so results are reproducible.  The search is BFGS when the objective
   carries its gradient (the built-in freqdep rule, see `nll_objective`),
   else derivative-free Nelder-Mead (threshold, custom and ``full_rate``
-  rules).
+  rules).  A later start stops once its iterate comes within
+  `KNOWN_BASIN_RADIUS` of the end point of an earlier start that converged
+  to a finite value, and offers no end point: it would only find that
+  minimum again (the rule of multi-level single linkage, Rinnooy Kan &
+  Timmer 1987, Math. Programming 39:57-78).
 
 Standard errors come from a central finite-difference Hessian of the NLL at
 the MLE and are reported only when that Hessian is positive definite and no
@@ -71,6 +75,9 @@ POLISH_XATOL = 1e-5
 POLISH_RTOL = 1e-12
 POLISH_MAX_STEPS = 60
 POLISH_DIFF_STEP = 1e-4  # in the internal coordinate
+# a later multistart start stops once its iterate comes this close (inf-norm,
+# internal coordinates) to the end point of an earlier start that converged
+KNOWN_BASIN_RADIUS = 1e-2
 # finite-difference Hessian step: relative to each coordinate, with a floor
 HESSIAN_REL_STEP = 1e-4
 HESSIAN_ABS_FLOOR = 1e-6
@@ -90,7 +97,8 @@ class FitConfig:
     one-parameter rule ``start`` is the centre of the scan, whose Newton
     polish takes no setting.  ``restarts`` and ``seed`` set the multistart
     and so act only on rules with two or more parameters: BFGS for the
-    freqdep rule, Nelder-Mead for the others.
+    freqdep rule, Nelder-Mead for the others; a restart that reaches the
+    basin of an earlier converged start stops there (`minimize_multistart`).
     ``tolerance`` and ``max_evals`` act on Nelder-Mead only; BFGS stops at
     scipy's gradient tolerance.  The jitter applied to restarts is
     multiplicative U[0.25, 4] on the distance from one-sided bounds
@@ -327,14 +335,19 @@ def minimize_multistart(
     ``start`` plus ``restarts`` jittered restarts, all on the transformed
     space: BFGS when ``objective`` carries ``value_and_grad`` (params ->
     (value, gradient), as `nll_objective` gives for the freqdep rule), else
-    Nelder-Mead, which alone uses ``tolerance`` and ``max_evals``.
-    ``n_evals`` counts objective calls, a value-and-gradient or a
-    value-and-derivatives call as one, so a differenced pair of
-    derivatives counts three.
+    Nelder-Mead, which alone uses ``tolerance`` and ``max_evals``.  Each
+    run after the first stops once its iterate (BFGS's iterate, or
+    Nelder-Mead's best vertex) is within `KNOWN_BASIN_RADIUS` in the
+    inf-norm of the transformed space of the end point of an earlier run
+    that converged to a finite value; a stopped run offers no end point.
+    ``n_evals`` counts objective calls, stopped runs' included, a
+    value-and-gradient or a value-and-derivatives call as one, so a
+    differenced pair of derivatives counts three.
 
     The answer never has a higher objective than the start point, which is
     kept when a run goes astray or none finds a finite value; the winner is
-    the lowest final value, earliest start on exact ties.
+    the lowest final value of the runs not stopped, earliest start on exact
+    ties.
     """
     transform = _box_transform(tuple(np.asarray(lower, dtype=float).ravel().tolist()),
                                tuple(np.asarray(upper, dtype=float).ravel().tolist()))
@@ -359,32 +372,61 @@ def minimize_multistart(
     value_and_grad = getattr(objective, "value_and_grad", None)
     best_x, best_f, best_ok = transform.to_external(z0), math.inf, False
     total_evals = 0
+    known_ends = []  # internal end points of the starts that converged to a finite value
+
+    def stop_in_known_basin(zk):
+        # scipy (>= 1.11) passes the current iterate and ends the search,
+        # as unsuccessful, on StopIteration
+        nonlocal stopped
+        if np.abs(np.asarray(known_ends) - zk).max(axis=1).min() <= KNOWN_BASIN_RADIUS:
+            stopped = True
+            raise StopIteration
+
     for z_init in z_starts:
+        stopped = False
+        callback = stop_in_known_basin if known_ends else None
         if value_and_grad is None:
             f_init, z_end, f_end, cand_ok, n_evals = _nelder_mead(
-                obj, transform, z_init, tolerance, max_evals)
+                obj, transform, z_init, tolerance, max_evals, callback)
         else:
-            f_init, z_end, f_end, cand_ok, n_evals = _bfgs(value_and_grad, transform, z_init)
+            f_init, z_end, f_end, cand_ok, n_evals = _bfgs(
+                value_and_grad, transform, z_init, callback)
         total_evals += n_evals
+        if stopped:  # it would only find a known minimum again
+            continue
         cand_x = transform.to_external(z_end)
         cand_f = f_end if f_end < _NM_INF else math.inf
         if cand_f > f_init:  # keep the monotone-improvement guarantee
             cand_x, cand_f, cand_ok = transform.to_external(z_init), f_init, False
+        if cand_ok and cand_f < math.inf:
+            known_ends.append(z_end)
         if cand_f < best_f:
             best_x, best_f, best_ok = cand_x, cand_f, cand_ok
     return MultistartResult(best_x, best_f, best_ok, total_evals)
 
 
-def _nelder_mead(obj, transform: BoxTransform, z_init, tolerance: float, max_evals: int):
-    """One Nelder-Mead run from ``z_init``: (value at ``z_init``, end point,
-    its value (`_NM_INF` for +inf), success, evaluations)."""
-    f_init = obj(transform.to_external(z_init))
+def _nelder_mead(obj, transform: BoxTransform, z_init, tolerance: float, max_evals: int,
+                 callback=None):
+    """One Nelder-Mead run from ``z_init``, passing ``callback`` to scipy:
+    (value at ``z_init``, end point, its value (`_NM_INF` for +inf),
+    success, evaluations).  ``z_init`` is the simplex's first vertex, and
+    its value is reused there rather than evaluated again."""
+    n_evals = 0
+
+    def value_z(z):
+        nonlocal n_evals
+        n_evals += 1
+        return obj(transform.to_external(z))
+
+    f_init = value_z(z_init)
+    at_start = min(f_init, _NM_INF)
     k = z_init.size
     simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
     res = minimize(
-        lambda z: min(obj(transform.to_external(z)), _NM_INF),
+        lambda z: at_start if np.array_equal(z, z_init) else min(value_z(z), _NM_INF),
         z_init,
         method="Nelder-Mead",
+        callback=callback,
         options={
             "fatol": tolerance,
             "xatol": 1e-6,
@@ -392,14 +434,14 @@ def _nelder_mead(obj, transform: BoxTransform, z_init, tolerance: float, max_eva
             "initial_simplex": simplex,
         },
     )
-    return f_init, res.x, float(res.fun), bool(res.success), res.nfev + 1
+    return f_init, res.x, float(res.fun), bool(res.success), n_evals
 
 
-def _bfgs(value_and_grad, transform: BoxTransform, z_init):
+def _bfgs(value_and_grad, transform: BoxTransform, z_init, callback=None):
     """One BFGS run from ``z_init`` on the gradient chained through the
-    transform; returns what `_nelder_mead` does.  A point where the
-    objective is not finite reads `_NM_INF` with a zero gradient, so the
-    line search backs off from it."""
+    transform, passing ``callback`` to scipy; returns what `_nelder_mead`
+    does.  A point where the objective is not finite reads `_NM_INF` with a
+    zero gradient, so the line search backs off from it."""
     n_evals = 0
 
     def value_grad_z(z):
@@ -420,6 +462,7 @@ def _bfgs(value_and_grad, transform: BoxTransform, z_init):
         z_init,
         jac=True,
         method="BFGS",
+        callback=callback,
     )
     f_init = at_start[0] if at_start[0] < _NM_INF else math.inf
     return f_init, res.x, float(res.fun), bool(res.success), n_evals

@@ -207,7 +207,7 @@ def test_gradient_multistart_backs_off_where_the_objective_raises():
                               upper=[np.inf, np.inf], seed=1)
     assert res.converged
     assert np.allclose(res.x, m, atol=1e-6)
-    assert res.n_evals < 200  # Nelder-Mead spends about 900 here
+    assert res.n_evals < 200  # Nelder-Mead spends about 360 here
     # and with no finite value anywhere the start is kept, as Nelder-Mead does
     objective.value_and_grad = lambda x: (math.inf, np.zeros(2))
     res = minimize_multistart(objective, start=[2.0, 3.0], lower=[0.0, 0.0],
@@ -216,11 +216,101 @@ def test_gradient_multistart_backs_off_where_the_objective_raises():
     assert np.allclose(res.x, [2.0, 3.0])
 
 
+def _double_well(x):
+    # two basins in x[0]: A near +0.99 and, 0.2 lower, B near -1.01
+    return float((x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0] + x[1] ** 2)
+
+
+# no bound: the internal coordinates are the parameters themselves
+UNBOUNDED_2D = ([-np.inf, -np.inf], [np.inf, np.inf])
+
+
+def _spy_nelder_mead(monkeypatch):
+    """Record every Nelder-Mead run of `minimize_multistart`: its start, the
+    callback it was given, and what it returned."""
+    runs = []
+    nelder_mead = fit_module._nelder_mead
+
+    def spy(obj, transform, z_init, tolerance, max_evals, callback=None):
+        out = nelder_mead(obj, transform, z_init, tolerance, max_evals, callback)
+        _, z_end, _, _, n_evals = out
+        runs.append({"start": z_init.copy(), "callback": callback, "end": z_end,
+                     "n_evals": n_evals})
+        return out
+
+    monkeypatch.setattr(fit_module, "_nelder_mead", spy)
+    return runs
+
+
+def test_multistart_stops_later_starts_in_a_known_basin(monkeypatch):
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        return _double_well(x)
+
+    runs = _spy_nelder_mead(monkeypatch)
+    res = minimize_multistart(objective, [0.8, 0.3], *UNBOUNDED_2D, seed=0)
+    monkeypatch.undo()
+    assert len(runs) == 9
+    alone = [minimize_multistart(_double_well, run["start"], *UNBOUNDED_2D, restarts=0)
+             for run in runs]
+    in_b = [i for i, single in enumerate(alone) if single.x[0] < 0]
+    # the first start ends in basin A, and one of the eight jittered starts lies in B
+    assert alone[0].x[0] > 0 and len(in_b) == 1
+    for i, (run, single) in enumerate(zip(runs, alone)):
+        if i == 0 or i in in_b:  # ran to their own end
+            assert run["n_evals"] == single.n_evals
+            assert np.array_equal(run["end"], single.x)
+        else:  # stopped once inside A's basin
+            assert run["n_evals"] < single.n_evals
+    # the lower basin wins, reached by the one start in it
+    assert res.x[0] == pytest.approx(-1.0124, abs=1e-3)
+    assert np.array_equal(res.x, alone[in_b[0]].x) and res.fun == alone[in_b[0]].fun
+    assert res.converged
+    # stopped starts count their evaluations
+    assert res.n_evals == len(calls) == sum(run["n_evals"] for run in runs)
+
+
+def test_multistart_unconverged_end_is_not_a_known_basin(monkeypatch):
+    runs = _spy_nelder_mead(monkeypatch)
+    res = minimize_multistart(_double_well, [0.8, 0.3], *UNBOUNDED_2D, seed=0, max_evals=10)
+    assert not res.converged
+    # no start converged, so no start checks for a known basin and each
+    # spends its whole budget
+    assert [run["callback"] for run in runs] == [None] * 9
+    assert [run["n_evals"] for run in runs] == [10] * 9
+    runs.clear()
+    minimize_multistart(_double_well, [0.8, 0.3], *UNBOUNDED_2D, seed=0)
+    assert runs[0]["callback"] is None
+    assert all(run["callback"] is not None for run in runs[1:])
+
+
+def test_nelder_mead_evaluates_each_point_once():
+    # the start is the first vertex of the initial simplex, and its value is
+    # reused there rather than evaluated a second time
+    rule = threshold_rule()
+    net = generate_network(GeneratorConfig(n=60, sparsity_threshold=0.7, multiplier_max=0.0,
+                                           seed=507))
+    data, _ = simulate_diffusion(net, rule, [1.0, 4.0], seed=907)
+    objective = nll_objective(rule, build_event_table(data))
+    points = []
+
+    def recording(x):
+        points.append(tuple(x))
+        return objective(x)
+
+    res = minimize_multistart(recording, rule.default_start, rule.lower, rule.upper, restarts=0)
+    assert res.converged
+    assert len(points) == res.n_evals
+    assert len(set(points)) == len(points)
+
+
 @pytest.mark.parametrize("rate", ["sums_rate", "full_rate"])
 def test_two_parameter_fit_without_finite_likelihood_raises(toy_data, rate, monkeypatch):
     # the rate is negative at every point of the box.  With the default
     # config each Nelder-Mead start ends once its all-inf simplex has shrunk
-    # to xatol (1 + 3 + 18 halvings of 4 evaluations: 684 for the 9 starts)
+    # to xatol (3 + 18 halvings of 4 evaluations: 675 for the 9 starts)
     # instead of running to max_evals
     rule = custom_rule("shifted", ["s", "t"], upper=[10.0, 10.0], **{
         "sums_rate": {"sums_rate": lambda p, w, tot: p[0] * w + p[1] - 5e9},
