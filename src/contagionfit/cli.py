@@ -561,8 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out-dir", default=".", help="directory for tables + manifest")
     p_exp.add_argument("--reps", type=int, default=None, help="override spec reps")
     p_exp.add_argument("--seed", type=int, default=None, help="override spec seed")
-    p_exp.add_argument("--threads", type=int,
-                       default=int(os.environ.get("CONTAGIONFIT_THREADS", "1")),
+    p_exp.add_argument("--threads", type=int, default=1,
                        help="worker processes (results are independent of this)")
     p_exp.add_argument("--deterministic", action="store_true",
                        help="omit the timestamp and run time from the manifest")

@@ -11,10 +11,10 @@ coordinates picks the method:
   fixed scan of 11 points over +-10 internal units around the start, stepped
   outward while the best point is at the edge, then a polish of each local
   minimum of the scan between its neighbours by safeguarded Newton steps,
-  on the first and second derivatives along the coordinate that the
-  objective carries (the built-in simple, proportional and freqdep rules,
-  see `nll_objective`), else on central differences of its values
-  (threshold, custom and ``full_rate`` rules);
+  on the exact first and second derivatives along s that the objective
+  carries (the built-in simple and proportional rules, and a freqdep pin of
+  f, see `nll_objective`), else on central differences of its values (along
+  f, and for threshold, custom and ``full_rate`` rules);
 - two or more: a local search from the start plus ``restarts`` jittered
   restarts; the best end point wins, with ties broken toward the earlier
   start so results are reproducible.  The search is BFGS when the objective
@@ -177,9 +177,14 @@ class FitResult:
 
 
 class BoxTransform:
-    """Smooth bijection between a box and all of R^k (per coordinate)."""
+    """Smooth bijection between a box and all of R^k (per coordinate).
 
-    _FREE, _LOWER, _UPPER, _BOTH = range(4)
+    A coordinate with one finite bound is ``anchor + sign * exp(z)``: the
+    anchor is that bound, and the sign is +1 above a lower bound, -1 below
+    an upper one.  A two-sided coordinate is a scaled logit, a coordinate
+    with no bound passes through."""
+
+    _FREE, _ONE_SIDED, _BOTH = range(3)
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
@@ -188,16 +193,14 @@ class BoxTransform:
             raise ValueError("bound length mismatch")
         if np.any(self.lower >= self.upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        kinds = []
+        self.kinds, self.anchors, self.signs = [], [], []
         for lo, hi in zip(self.lower, self.upper):
             lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
-            kinds.append(
-                self._BOTH if (lo_f and hi_f)
-                else self._LOWER if lo_f
-                else self._UPPER if hi_f
-                else self._FREE
-            )
-        self.kinds = kinds
+            self.kinds.append(self._BOTH if lo_f and hi_f
+                              else self._ONE_SIDED if lo_f or hi_f
+                              else self._FREE)
+            self.anchors.append(lo if lo_f else hi)
+            self.signs.append(1.0 if lo_f else -1.0)
 
     @property
     def k(self) -> int:
@@ -207,14 +210,12 @@ class BoxTransform:
         x = np.asarray(x, dtype=float)
         z = np.empty_like(x)
         for i, kind in enumerate(self.kinds):
-            lo, hi = self.lower[i], self.upper[i]
             if kind == self._FREE:
                 z[i] = x[i]
-            elif kind == self._LOWER:
-                z[i] = math.log(max(x[i] - lo, 1e-300))
-            elif kind == self._UPPER:
-                z[i] = math.log(max(hi - x[i], 1e-300))
+            elif kind == self._ONE_SIDED:
+                z[i] = math.log(max(self.signs[i] * (x[i] - self.anchors[i]), 1e-300))
             else:
+                lo, hi = self.lower[i], self.upper[i]
                 p = min(max((x[i] - lo) / (hi - lo), 1e-12), 1.0 - 1e-12)
                 z[i] = logit(p)
         return z
@@ -223,14 +224,12 @@ class BoxTransform:
         z = np.asarray(z, dtype=float)
         x = np.empty_like(z)
         for i, kind in enumerate(self.kinds):
-            lo, hi = self.lower[i], self.upper[i]
             if kind == self._FREE:
                 x[i] = z[i]
-            elif kind == self._LOWER:
-                x[i] = lo + math.exp(min(z[i], 700.0))
-            elif kind == self._UPPER:
-                x[i] = hi - math.exp(min(z[i], 700.0))
+            elif kind == self._ONE_SIDED:
+                x[i] = self.anchors[i] + self.signs[i] * math.exp(min(z[i], 700.0))
             else:
+                lo, hi = self.lower[i], self.upper[i]
                 x[i] = lo + (hi - lo) * expit(z[i])
         return x
 
@@ -241,9 +240,8 @@ class BoxTransform:
         for i, kind in enumerate(self.kinds):
             if kind == self._FREE:
                 d[i] = 1.0
-            elif kind in (self._LOWER, self._UPPER):
-                slope = math.exp(z[i]) if z[i] < 700.0 else 0.0
-                d[i] = slope if kind == self._LOWER else -slope
+            elif kind == self._ONE_SIDED:
+                d[i] = self.signs[i] * (math.exp(z[i]) if z[i] < 700.0 else 0.0)
             else:
                 p = expit(z[i])
                 d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p)
@@ -256,9 +254,8 @@ class BoxTransform:
         for i, kind in enumerate(self.kinds):
             if kind == self._FREE:
                 d[i] = 0.0
-            elif kind in (self._LOWER, self._UPPER):
-                bend = math.exp(z[i]) if z[i] < 700.0 else 0.0
-                d[i] = bend if kind == self._LOWER else -bend
+            elif kind == self._ONE_SIDED:
+                d[i] = self.signs[i] * (math.exp(z[i]) if z[i] < 700.0 else 0.0)
             else:
                 p = expit(z[i])
                 d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p) * (1.0 - 2.0 * p)
@@ -268,13 +265,16 @@ class BoxTransform:
         """Move points sitting on (or outside) a bound strictly inside."""
         x = np.asarray(x, dtype=float).copy()
         for i, kind in enumerate(self.kinds):
-            lo, hi = self.lower[i], self.upper[i]
-            if kind in (self._LOWER, self._BOTH) and x[i] <= lo:
-                width = (hi - lo) if kind == self._BOTH else 1.0
-                x[i] = lo + 1e-3 * width
-            if kind in (self._UPPER, self._BOTH) and x[i] >= hi:
-                width = (hi - lo) if kind == self._BOTH else 1.0
-                x[i] = hi - 1e-3 * width
+            if kind == self._ONE_SIDED:
+                anchor, sign = self.anchors[i], self.signs[i]
+                if sign * (x[i] - anchor) <= 0:
+                    x[i] = anchor + sign * 1e-3
+            elif kind == self._BOTH:
+                lo, hi = self.lower[i], self.upper[i]
+                if x[i] <= lo:
+                    x[i] = lo + 1e-3 * (hi - lo)
+                if x[i] >= hi:
+                    x[i] = hi - 1e-3 * (hi - lo)
         return x
 
 
@@ -311,6 +311,58 @@ def _safe(objective: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], fl
     return wrapped
 
 
+class _InBox:
+    """``objective`` on the internal coordinates of ``transform``: the one
+    way `minimize_multistart` evaluates it.  Every evaluation goes through
+    `_external`, which counts it in ``n_evals``; a point where the objective
+    raises one of `_OBJECTIVE_ERRORS` or gives nan reads +inf (`_safe`);
+    derivatives are chained through the transform."""
+
+    def __init__(self, objective: Callable[[np.ndarray], float], transform: BoxTransform):
+        self.transform = transform
+        self.value = _safe(objective)
+        self.gradient = getattr(objective, "value_and_grad", None)
+        self.along = getattr(objective, "along", None)
+        self.n_evals = 0
+
+    def _external(self, z) -> np.ndarray:
+        self.n_evals += 1
+        return self.transform.to_external(z)
+
+    def __call__(self, z) -> float:
+        return self.value(self._external(z))
+
+    def value_and_grad(self, z) -> tuple[float, np.ndarray]:
+        """Value and gradient in ``z``, from the objective's
+        ``value_and_grad``; `_NM_INF` with a zero gradient where the value
+        is not finite, so a line search backs off from it."""
+        try:
+            f, g = self.gradient(self._external(z))
+            f = float(f)
+        except _OBJECTIVE_ERRORS:
+            f = math.inf
+        if not f < math.inf:  # +inf or nan
+            return _NM_INF, np.zeros_like(z)
+        return f, np.asarray(g, dtype=float) * self.transform.dx_dz(z)
+
+    def derivatives(self, z: float) -> tuple[float, float, float]:
+        """Value with its first and second derivatives in the one internal
+        coordinate ``z``: from the objective's ``along`` (params -> (value,
+        first, second) in the parameter), else from central differences
+        with step `POLISH_DIFF_STEP`, three evaluations; the internal
+        coordinate has no bound, so every step stays in the box."""
+        if self.along is None:
+            step = POLISH_DIFF_STEP
+            value, up, down = self([z]), self([z + step]), self([z - step])
+            return value, (up - down) / (2.0 * step), (up - 2.0 * value + down) / (step * step)
+        try:
+            value, first, second = self.along(self._external([z]))
+        except _OBJECTIVE_ERRORS:
+            return math.inf, math.nan, math.nan
+        slope, bend = float(self.transform.dx_dz([z])[0]), float(self.transform.d2x_dz2([z])[0])
+        return value, first * slope, second * slope * slope + first * bend
+
+
 def minimize_multistart(
     objective: Callable[[np.ndarray], float],
     start,
@@ -327,22 +379,21 @@ def minimize_multistart(
     The dimension picks the method.  With no coordinates the objective is
     evaluated once.  With one, `_scan_and_polish` scans a grid around
     ``centre`` (default ``start``) plus ``start`` itself and polishes the
-    best point by Newton steps, on ``objective.along`` ((params, 0) ->
-    (value, first and second derivative), as `nll_objective` gives for the
-    simple, proportional and freqdep rules) when it has one, else on
-    central differences; ``restarts``, ``tolerance``, ``max_evals`` and
-    ``seed`` are not used.  With two or more, a local search runs from
-    ``start`` plus ``restarts`` jittered restarts, all on the transformed
-    space: BFGS when ``objective`` carries ``value_and_grad`` (params ->
-    (value, gradient), as `nll_objective` gives for the freqdep rule), else
-    Nelder-Mead, which alone uses ``tolerance`` and ``max_evals``.  Each
-    run after the first stops once its iterate (BFGS's iterate, or
-    Nelder-Mead's best vertex) is within `KNOWN_BASIN_RADIUS` in the
-    inf-norm of the transformed space of the end point of an earlier run
-    that converged to a finite value; a stopped run offers no end point.
-    ``n_evals`` counts objective calls, stopped runs' included, a
-    value-and-gradient or a value-and-derivatives call as one, so a
-    differenced pair of derivatives counts three.
+    best point by Newton steps, on ``objective.along`` (params -> (value,
+    first and second derivative), as `nll_objective` gives along s) when
+    it has one, else on central differences; ``restarts``, ``tolerance``,
+    ``max_evals`` and ``seed`` are not used.  With two or more,
+    `_local_search` runs from ``start`` plus ``restarts`` jittered
+    restarts, all on the transformed space: BFGS when ``objective``
+    carries ``value_and_grad`` (params -> (value, gradient), as
+    `nll_objective` gives for the freqdep rule), else Nelder-Mead, which
+    alone uses ``tolerance`` and ``max_evals``.  Each run after the first
+    stops once its iterate (BFGS's iterate, or Nelder-Mead's best vertex)
+    is within `KNOWN_BASIN_RADIUS` in the inf-norm of the transformed space
+    of the end point of an earlier run that converged to a finite value; a
+    stopped run offers no end point.  ``n_evals`` counts objective calls,
+    stopped runs' included, a value-and-gradient or a value-and-derivatives
+    call as one, so a differenced pair of derivatives counts three.
 
     The answer never has a higher objective than the start point, which is
     kept when a run goes astray or none finds a finite value; the winner is
@@ -351,17 +402,17 @@ def minimize_multistart(
     """
     transform = _box_transform(tuple(np.asarray(lower, dtype=float).ravel().tolist()),
                                tuple(np.asarray(upper, dtype=float).ravel().tolist()))
-    obj = _safe(objective)
-    x0 = transform.nudge_inside(np.asarray(start, dtype=float))
-    z0 = transform.to_internal(x0)
+    view = _InBox(objective, transform)
+    z0 = transform.to_internal(transform.nudge_inside(np.asarray(start, dtype=float)))
     k = z0.size
     if k == 0:
-        return MultistartResult(np.zeros(0), obj(np.zeros(0)), True, 1)
+        return MultistartResult(z0, view(z0), True, view.n_evals)
     if k == 1:
         zc = z0 if centre is None else transform.to_internal(
             transform.nudge_inside(np.asarray(centre, dtype=float)))
-        return _scan_and_polish(obj, getattr(objective, "along", None), transform,
-                                float(z0[0]), float(zc[0]))
+        z_best, f_best = _scan_and_polish(view, float(z0[0]), float(zc[0]))
+        return MultistartResult(transform.to_external([z_best]), f_best, math.isfinite(f_best),
+                                view.n_evals)
 
     rng = np.random.default_rng(seed)
     z_starts = [z0]
@@ -369,9 +420,7 @@ def minimize_multistart(
         jitter = np.log(rng.uniform(0.25, 4.0, size=(restarts, k)))
         z_starts.extend(z0 + jitter[r] for r in range(restarts))
 
-    value_and_grad = getattr(objective, "value_and_grad", None)
     best_x, best_f, best_ok = transform.to_external(z0), math.inf, False
-    total_evals = 0
     known_ends = []  # internal end points of the starts that converged to a finite value
 
     def stop_in_known_basin(zk):
@@ -385,13 +434,7 @@ def minimize_multistart(
     for z_init in z_starts:
         stopped = False
         callback = stop_in_known_basin if known_ends else None
-        if value_and_grad is None:
-            f_init, z_end, f_end, cand_ok, n_evals = _nelder_mead(
-                obj, transform, z_init, tolerance, max_evals, callback)
-        else:
-            f_init, z_end, f_end, cand_ok, n_evals = _bfgs(
-                value_and_grad, transform, z_init, callback)
-        total_evals += n_evals
+        f_init, z_end, f_end, cand_ok = _local_search(view, z_init, tolerance, max_evals, callback)
         if stopped:  # it would only find a known minimum again
             continue
         cand_x = transform.to_external(z_end)
@@ -402,74 +445,42 @@ def minimize_multistart(
             known_ends.append(z_end)
         if cand_f < best_f:
             best_x, best_f, best_ok = cand_x, cand_f, cand_ok
-    return MultistartResult(best_x, best_f, best_ok, total_evals)
+    return MultistartResult(best_x, best_f, best_ok, view.n_evals)
 
 
-def _nelder_mead(obj, transform: BoxTransform, z_init, tolerance: float, max_evals: int,
-                 callback=None):
-    """One Nelder-Mead run from ``z_init``, passing ``callback`` to scipy:
+def _local_search(view: _InBox, z_init, tolerance: float, max_evals: int, callback=None):
+    """One local search from ``z_init``, passing ``callback`` to scipy:
     (value at ``z_init``, end point, its value (`_NM_INF` for +inf),
-    success, evaluations).  ``z_init`` is the simplex's first vertex, and
-    its value is reused there rather than evaluated again."""
-    n_evals = 0
-
-    def value_z(z):
-        nonlocal n_evals
-        n_evals += 1
-        return obj(transform.to_external(z))
-
-    f_init = value_z(z_init)
-    at_start = min(f_init, _NM_INF)
-    k = z_init.size
-    simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
+    success).  BFGS when the objective has a gradient, else Nelder-Mead
+    from a simplex whose first vertex is ``z_init``.  The start's value is
+    reused rather than evaluated again, and +inf reads `_NM_INF`."""
+    gradient = view.gradient is not None
+    if gradient:
+        evaluate, method, options = view.value_and_grad, "BFGS", {}
+    else:
+        def evaluate(z):
+            return min(view(z), _NM_INF)
+        k = z_init.size
+        simplex = np.vstack([z_init] + [z_init + 0.25 * np.eye(k)[i] for i in range(k)])
+        method = "Nelder-Mead"
+        options = {"fatol": tolerance, "xatol": 1e-6, "maxfev": max_evals,
+                   "initial_simplex": simplex}
+    at_start = evaluate(z_init)
     res = minimize(
-        lambda z: at_start if np.array_equal(z, z_init) else min(value_z(z), _NM_INF),
+        lambda z: at_start if np.array_equal(z, z_init) else evaluate(z),
         z_init,
-        method="Nelder-Mead",
+        jac=gradient,
+        method=method,
         callback=callback,
-        options={
-            "fatol": tolerance,
-            "xatol": 1e-6,
-            "maxfev": max_evals,
-            "initial_simplex": simplex,
-        },
+        options=options,
     )
-    return f_init, res.x, float(res.fun), bool(res.success), n_evals
+    f_init = at_start[0] if gradient else at_start
+    return (f_init if f_init < _NM_INF else math.inf), res.x, float(res.fun), bool(res.success)
 
 
-def _bfgs(value_and_grad, transform: BoxTransform, z_init, callback=None):
-    """One BFGS run from ``z_init`` on the gradient chained through the
-    transform, passing ``callback`` to scipy; returns what `_nelder_mead`
-    does.  A point where the objective is not finite reads `_NM_INF` with a
-    zero gradient, so the line search backs off from it."""
-    n_evals = 0
-
-    def value_grad_z(z):
-        nonlocal n_evals
-        n_evals += 1
-        try:
-            f, g = value_and_grad(transform.to_external(z))
-            f = float(f)
-        except _OBJECTIVE_ERRORS:
-            f = math.inf
-        if not f < math.inf:  # +inf or nan
-            return _NM_INF, np.zeros_like(z)
-        return f, np.asarray(g, dtype=float) * transform.dx_dz(z)
-
-    at_start = value_grad_z(z_init)
-    res = minimize(
-        lambda z: at_start if np.array_equal(z, z_init) else value_grad_z(z),
-        z_init,
-        jac=True,
-        method="BFGS",
-        callback=callback,
-    )
-    f_init = at_start[0] if at_start[0] < _NM_INF else math.inf
-    return f_init, res.x, float(res.fun), bool(res.success), n_evals
-
-
-def _scan_and_polish(obj, along, transform: BoxTransform, z_start: float, z_centre: float):
-    """One-coordinate minimization in the internal coordinate: scan, then polish.
+def _scan_and_polish(view: _InBox, z_start: float, z_centre: float) -> tuple[float, float]:
+    """One-coordinate minimization in the internal coordinate: scan, then
+    polish; (point, value).
 
     Scans `SCAN_POINTS` points over +-`SCAN_HALF_WIDTH` around ``z_centre``
     plus ``z_start``, steps outward by the grid spacing while the strictly
@@ -483,24 +494,19 @@ def _scan_and_polish(obj, along, transform: BoxTransform, z_start: float, z_cent
     the best point's on ties; it is never worse than the best scanned
     point, hence never worse than the start.
     """
-
-    def at(z):
-        return obj(transform.to_external([z]))
-
     grid = z_centre + _SCAN_OFFSETS
     zs = sorted({*map(float, grid), z_start})
-    fs = [at(z) for z in zs]
+    fs = [view([z]) for z in zs]
     spacing = grid[1] - grid[0]
     for _ in range(SCAN_MAX_STEPS):
         if fs[0] < min(fs[1:]):
             zs.insert(0, zs[0] - spacing)
-            fs.insert(0, at(zs[0]))
+            fs.insert(0, view([zs[0]]))
         elif fs[-1] < min(fs[:-1]):
             zs.append(zs[-1] + spacing)
-            fs.append(at(zs[-1]))
+            fs.append(view([zs[-1]]))
         else:
             break
-    n_evals = len(zs)
     best = int(np.argmin(fs))
     z_best, f_best = zs[best], fs[best]
     if math.isfinite(f_best):
@@ -509,62 +515,37 @@ def _scan_and_polish(obj, along, transform: BoxTransform, z_start: float, z_cent
                          and (i == 0 or fs[i] < fs[i - 1]) and (i == last or fs[i] < fs[i + 1])]
         for i in dips:
             bracket = zs[max(i - 1, 0)], zs[min(i + 1, last)]
-            z, f, n_polish = _newton_polish(along, at, transform, *bracket, zs[i], fs[i])
-            n_evals += n_polish
+            z, f = _newton_polish(view, *bracket, zs[i], fs[i])
             if f < f_best:
                 z_best, f_best = z, f
-    x_best = transform.to_external([z_best])
-    return MultistartResult(x_best, f_best, math.isfinite(f_best), n_evals)
+    return z_best, f_best
 
 
-def _newton_polish(along, at, transform: BoxTransform, lo: float, hi: float, z: float,
-                   f: float):
+def _newton_polish(view: _InBox, lo: float, hi: float, z: float, f: float):
     """Safeguarded Newton minimization in the internal coordinate, from the
     scanned point ``z`` (value ``f``) inside the bracket [``lo``, ``hi``],
-    whose ends are no lower: (point, value, evaluations).
+    whose ends are no lower: (point, value).
 
-    The first and second derivatives come from ``along`` (``along(x, 0) ->
-    (value, first, second)`` in the parameter, chained through the
-    transform), or, when it is None, from central differences of ``at``
-    (the plain value) with step `POLISH_DIFF_STEP`, three evaluations each;
-    the internal coordinate has no bound, so both steps stay in the box.
-    The sign of the derivative at ``z`` rules out the part of the bracket
+    The first and second derivatives come from `_InBox.derivatives`.  The
+    sign of the derivative at ``z`` rules out the part of the bracket
     behind it, so Newton steps (`_newton_steps`) descend into the other
     part.  A basin behind a rise can hide in the part ruled out, so its
-    midpoint is probed by ``at``; when it is lower than ``f``, that part is
-    polished from there as well, and the lower end point wins.  The value
-    never rises above ``f``.
+    midpoint is probed; when it is lower than ``f``, that part is polished
+    from there as well, and the lower end point wins.  The value never
+    rises above ``f``.
     """
-    n_evals = 0
-
-    def derivatives(z):
-        nonlocal n_evals
-        if along is None:
-            n_evals += 3
-            step = POLISH_DIFF_STEP
-            value, up, down = at(z), at(z + step), at(z - step)
-            return value, (up - down) / (2.0 * step), (up - 2.0 * value + down) / (step * step)
-        n_evals += 1
-        try:
-            value, first, second = along(transform.to_external([z]), 0)
-        except _OBJECTIVE_ERRORS:
-            return math.inf, math.nan, math.nan
-        slope, bend = float(transform.dx_dz([z])[0]), float(transform.d2x_dz2([z])[0])
-        return value, first * slope, second * slope * slope + first * bend
-
-    _, g, h = derivatives(z)
-    z_end, f_end = _newton_steps(derivatives, lo, hi, z, f, g, h)
+    _, g, h = view.derivatives(z)
+    z_end, f_end = _newton_steps(view.derivatives, lo, hi, z, f, g, h)
     behind = (lo, z) if g < 0 else (z, hi) if g > 0 else None
     if behind is not None and behind[1] - behind[0] >= POLISH_XATOL:
         mid = 0.5 * (behind[0] + behind[1])
-        f_mid = at(mid)
-        n_evals += 1
+        f_mid = view([mid])
         if f_mid < f:
-            _, g_mid, h_mid = derivatives(mid)
-            z_other, f_other = _newton_steps(derivatives, *behind, mid, f_mid, g_mid, h_mid)
+            _, g_mid, h_mid = view.derivatives(mid)
+            z_other, f_other = _newton_steps(view.derivatives, *behind, mid, f_mid, g_mid, h_mid)
             if f_other < f_end:
                 z_end, f_end = z_other, f_other
-    return z_end, f_end, n_evals
+    return z_end, f_end
 
 
 def _newton_steps(derivatives, lo: float, hi: float, z: float, f: float, g: float, h: float):

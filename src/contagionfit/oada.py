@@ -48,12 +48,13 @@ again) costs O(D), and one that moves f costs O(runs + D).  Other rules
 pass their rates as ``x`` with s = 1, an O(runs + D) evaluation.  The
 gradient comes from the same halves: in s it is O(D), in the shape's
 parameters it is the adjoint of the prefix sum, O(runs + D) more, and fits
-use it.  So does the first and second derivative along one parameter,
-which one-coordinate searches use: O(D) along s, two more O(runs) passes
-along a shape parameter.  One objective object (`nll_objective`) holds the
-prepared rates and the cached pieces and gives all of these; its pinned
-view (`_Objective.pin`) is a profile's inner objective, and its slope in
-the pinned parameter is the profile's slope at the inner optimum.
+use it.  The first and second derivatives along s, which one-coordinate
+searches in s use, are O(D) as well; a one-coordinate search in a shape
+parameter differences the values instead.  One objective object
+(`nll_objective`) holds the prepared rates and the cached pieces and gives
+all of these; its pinned view (`_Objective.pin`) is a profile's inner
+objective, and its slope in the pinned parameter is the profile's slope at
+the inner optimum.
 """
 
 from __future__ import annotations
@@ -416,8 +417,8 @@ def nll_objective(rule: TransmissionRule, table: EventTable) -> _Objective:
     run pieces are prepared here, once, and shared by every evaluation.
     When the prepared rates have a ``shape`` (the built-in simple,
     proportional and freqdep rules) the objective also gives the NLL's
-    gradient and its derivatives along one parameter (`_ShapeObjective`);
-    other rules give the value alone."""
+    gradient and its derivatives along s (`_ShapeObjective`); other rules
+    give the value alone."""
     run_rates = rule.run_rates(table.run_w, table.run_total)
     kind = _ShapeObjective if hasattr(run_rates, "shape") else _Objective
     return kind(rule, table, run_rates)
@@ -520,40 +521,21 @@ class _ShapeObjective(_Objective):
                 grad[1:] = s * np.einsum("r,rk->k", adjoint, dx)
         return val, grad
 
-    def along(self, params, index: int) -> tuple[float, float, float]:
-        """NLL with its first and second derivatives along parameter
-        ``index`` (for ``index > 0`` the rates need a ``shape_along``).
-
-        Along s it is O(D): ``Σ C/denom − Σ a/(1 + s·a)`` and
-        ``Σ a²/(1 + s·a)² − Σ C²/denom²``.  Along a shape parameter it costs
-        two more `_run_pieces` passes, over the shape's first and second
-        derivatives: with ``C' = s·pieces(x')`` and ``a' = s·x'`` at the
-        acquirer (likewise ``''``), the derivatives are
-        ``Σ C'/denom − Σ a'/(1 + s·a)`` and
-        ``Σ C''/denom − Σ (C'/denom)² − Σ a''/(1 + s·a) + Σ (a'/(1 + s·a))²``.
-        """
+    def along(self, params) -> tuple[float, float, float]:
+        """NLL with its first and second derivatives along s, O(D):
+        ``Σ C/denom − Σ a/(1 + s·a)`` and ``Σ a²/(1 + s·a)² − Σ C²/denom²``."""
         params = np.asarray(params, dtype=float)
-        s = params[0]
-        shape, dx, d2x = (self.run_rates.shape_along(params[1:], index - 1) if index
-                          else (None, None, None))
         with np.errstate(**_QUIET):
-            val, c, a, denom = self._scaled(params, shape=shape)
-            acq_denom = 1.0 + s * a
-            if index == 0:
-                u, v = c / denom, a / acq_denom
-                return val, float(u.sum() - v.sum()), float(v @ v - u @ u)
-            c1, a1 = _run_pieces(dx, self.table)
-            c2, a2 = _run_pieces(d2x, self.table)
-            u, v = s * c1 / denom, s * a1 / acq_denom
-            first = float(u.sum() - v.sum())
-            second = float((s * c2 / denom).sum() - u @ u - (s * a2 / acq_denom).sum() + v @ v)
-        return val, first, second
+            val, c, a, denom = self._scaled(params)
+            u, v = c / denom, a / (1.0 + params[0] * a)
+            return val, float(u.sum() - v.sum()), float(v @ v - u @ u)
 
 
 class _Pinned:
     """An objective with parameter ``index`` held at ``value``: a callable
-    of the other parameters, the *free* ones, with ``along`` over them when
-    the objective has it.  With a gradient, ``slope`` gives the NLL's
+    of the other parameters, the *free* ones.  When s is free and first
+    (a pin of a shape parameter), it carries the objective's ``along``, the
+    derivatives along s.  With a gradient, ``slope`` gives the NLL's
     derivative in the pinned parameter, which at the optimum over the free
     parameters is the slope of the profile (the envelope theorem); without
     one, `profile_ci._Profile` differences the values."""
@@ -576,16 +558,14 @@ class _Pinned:
 
     @property
     def along(self):
-        return None if self.objective.along is None else self._along
-
-    def _along(self, free, j: int):
-        # free coordinate j is parameter j, or j + 1 past the pinned one
-        return self.objective.along(self.full(free), j + (j >= self.index))
+        if self.objective.along is None or self.index == 0:
+            return None
+        return lambda free: self.objective.along(self.full(free))
 
     def slope(self, free) -> float:
         """O(D) in s (`along`), one adjoint pass in a shape parameter."""
         if self.index == 0:
-            return self.objective.along(self.full(free), 0)[1]
+            return self.objective.along(self.full(free))[1]
         return float(self.objective.value_and_grad(self.full(free))[1][self.index])
 
 

@@ -38,9 +38,9 @@ parameters picks the method.  A one-parameter rule's profile is its NLL at
 the pin.  A two-parameter rule scans its one nuisance, centred on the fit
 MLE's value, from the warm start of this side of the MLE, and polishes with
 safeguarded Newton steps on the NLL's first and second derivatives along
-the nuisance (each pin passes on the objective's ``along`` for its free
-coordinate; central differences stand in for a rule without it); the
-outward steps of the scan follow a profile that falls towards a limit
+the nuisance: exact along s (a pin of f passes on the objective's
+``along``), central differences along f and for rules without ``along``;
+the outward steps of the scan follow a profile that falls towards a limit
 (f -> infinity, a step rule).  Rules with three or more parameters run
 Nelder-Mead multistart (`ProfileConfig.inner_restarts`, `inner_max_evals`
 and `seed` act only on them).
@@ -176,10 +176,9 @@ class _Profile:
     one-nuisance scan) at the first pin on each side of ``centre``, then
     the optimum of the side's last pin, so one instance serves both
     directions of an interval search and neither inherits the other's
-    optimum.  A pinned view carries the objective's ``along`` for its free
-    coordinates, when the objective has it, so a one-nuisance search ends
-    in a Newton polish.  ``value_and_slope`` gives the profile value with
-    its slope.
+    optimum.  A one-nuisance search ends in a Newton polish, on the
+    objective's ``along`` when the nuisance is s (`oada._Pinned.along`).
+    ``value_and_slope`` gives the profile value with its slope.
     """
 
     def __init__(self, table, rule, index, lower, upper, start, centre, cfg):

@@ -49,6 +49,15 @@ def test_fit_human_summary(toy_files, capsys):
     assert "nll:" in captured.out
 
 
+def test_no_environment_variable_sets_an_option(toy_files, monkeypatch, capsys):
+    # the parser is built outside main's error handling, so a default read
+    # from the environment would crash every subcommand on a bad value
+    monkeypatch.setenv("CONTAGIONFIT_THREADS", "two")
+    net, order = toy_files
+    assert main(["fit", "--network", net, "--order", order, "--rule", "asocial"]) == 0
+    assert build_parser().parse_args(["experiment", "--spec", "s.json"]).threads == 1
+
+
 def test_fit_inline_order(toy_files, capsys):
     net, _ = toy_files
     code = main([

@@ -69,7 +69,8 @@ def test_box_transform_nudge_inside():
 
 
 def test_box_transform_derivatives_match_differences():
-    # first and second derivatives of to_external for all four bound kinds
+    # first and second derivatives of to_external for a lower, an upper, no
+    # and two bounds
     tr = BoxTransform([0.0, -np.inf, -np.inf, -1.0], [np.inf, 2.0, np.inf, 3.0])
     z, h = np.array([0.7, -0.4, 1.3, 0.9]), 1e-5
     first = (tr.to_external(z + h) - tr.to_external(z - h)) / (2 * h)
@@ -225,20 +226,21 @@ def _double_well(x):
 UNBOUNDED_2D = ([-np.inf, -np.inf], [np.inf, np.inf])
 
 
-def _spy_nelder_mead(monkeypatch):
-    """Record every Nelder-Mead run of `minimize_multistart`: its start, the
-    callback it was given, and what it returned."""
+def _spy_local_search(monkeypatch):
+    """Record every local search of `minimize_multistart`: its start, the
+    callback it was given, its end point, and the evaluations it took (the
+    growth of the view's counter)."""
     runs = []
-    nelder_mead = fit_module._nelder_mead
+    local_search = fit_module._local_search
 
-    def spy(obj, transform, z_init, tolerance, max_evals, callback=None):
-        out = nelder_mead(obj, transform, z_init, tolerance, max_evals, callback)
-        _, z_end, _, _, n_evals = out
-        runs.append({"start": z_init.copy(), "callback": callback, "end": z_end,
-                     "n_evals": n_evals})
+    def spy(view, z_init, tolerance, max_evals, callback=None):
+        before = view.n_evals
+        out = local_search(view, z_init, tolerance, max_evals, callback)
+        runs.append({"start": z_init.copy(), "callback": callback, "end": out[1],
+                     "n_evals": view.n_evals - before})
         return out
 
-    monkeypatch.setattr(fit_module, "_nelder_mead", spy)
+    monkeypatch.setattr(fit_module, "_local_search", spy)
     return runs
 
 
@@ -249,7 +251,7 @@ def test_multistart_stops_later_starts_in_a_known_basin(monkeypatch):
         calls.append(1)
         return _double_well(x)
 
-    runs = _spy_nelder_mead(monkeypatch)
+    runs = _spy_local_search(monkeypatch)
     res = minimize_multistart(objective, [0.8, 0.3], *UNBOUNDED_2D, seed=0)
     monkeypatch.undo()
     assert len(runs) == 9
@@ -273,7 +275,7 @@ def test_multistart_stops_later_starts_in_a_known_basin(monkeypatch):
 
 
 def test_multistart_unconverged_end_is_not_a_known_basin(monkeypatch):
-    runs = _spy_nelder_mead(monkeypatch)
+    runs = _spy_local_search(monkeypatch)
     res = minimize_multistart(_double_well, [0.8, 0.3], *UNBOUNDED_2D, seed=0, max_evals=10)
     assert not res.converged
     # no start converged, so no start checks for a known basin and each
@@ -304,6 +306,37 @@ def test_nelder_mead_evaluates_each_point_once():
     assert res.converged
     assert len(points) == res.n_evals
     assert len(set(points)) == len(points)
+
+
+def _bowl(x):
+    return float(np.sum((np.asarray(x) - 2.0) ** 2))
+
+
+@pytest.mark.parametrize("method", ["none", "along", "differences", "nelder-mead", "bfgs",
+                                    "stopped starts"])
+def test_n_evals_counts_every_objective_call(method):
+    # one call of the value, of the value and gradient, or of the value and
+    # derivatives along the coordinate counts one, so a central difference
+    # of the derivatives counts its three values
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        return _double_well(x) if method == "stopped starts" else _bowl(x)
+
+    if method == "along":
+        objective.along = lambda x: calls.append(1) or (_bowl(x), 2.0 * (x[0] - 2.0), 2.0)
+    if method == "bfgs":
+        objective.value_and_grad = lambda x: calls.append(1) or (_bowl(x), 2.0 * (x - 2.0))
+    k = {"none": 0, "along": 1, "differences": 1}.get(method, 2)
+    box = [0.0] * k, [np.inf] * k
+    # _double_well's jittered starts from here stop in a known basin (see
+    # test_multistart_stops_later_starts_in_a_known_basin)
+    start, box = ([0.8, 0.3], UNBOUNDED_2D) if method == "stopped starts" else ([1.0] * k, box)
+    restarts = 0 if method == "nelder-mead" else 8
+    res = minimize_multistart(objective, start, *box, restarts=restarts, seed=0)
+    assert res.converged
+    assert res.n_evals == len(calls) > 0
 
 
 @pytest.mark.parametrize("rate", ["sums_rate", "full_rate"])
@@ -391,14 +424,18 @@ def test_one_parameter_fit_reaches_dense_grid_minimum(fit):
 
 
 def record_polish_points(monkeypatch) -> list[float]:
-    """Record the (one-coordinate) point of every Newton polish evaluation."""
+    """Record the external point of every one-coordinate evaluation of the
+    minimizer's view of the objective: the scan's and the Newton polish's."""
     points = []
-    polish = fit_module._newton_polish
+    external = fit_module._InBox._external
 
-    def recording(along, *args):
-        return polish(lambda x, j: points.append(float(x[0])) or along(x, j), *args)
+    def recording(view, z):
+        x = external(view, z)
+        if x.size == 1:
+            points.append(float(x[0]))
+        return x
 
-    monkeypatch.setattr(fit_module, "_newton_polish", recording)
+    monkeypatch.setattr(fit_module._InBox, "_external", recording)
     return points
 
 

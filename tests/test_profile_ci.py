@@ -436,6 +436,10 @@ def test_fit_finds_the_far_basin_of_pair_1010():
 # their pins take 3 135 evaluations, and fits and intervals 1 399 passes.
 # A lookahead pin after a tangent that lands on the crossing adds one of
 # each: 199 points, 114 on the closed sides, 3 152 evaluations, 1 400 passes
+# (1 310 passes at the commit that stops later multistart starts in a known
+# basin).  Pins of s that polish f on central differences rather than on
+# exact derivatives along f take 3 573 evaluations and 1 129 passes, on the
+# same 199 points
 PANEL_EVALS_PER_FIT = 200
 PANEL_PROFILE_POINTS = 300
 PANEL_CLOSED_SIDE_POINTS = 125
