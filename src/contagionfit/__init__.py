@@ -58,7 +58,6 @@ from .fit import (
     fit_oada,
     hessian_standard_errors,
     minimize_multistart,
-    standard_errors,
 )
 from .profile_ci import (
     DEFAULT_CUTOFF,
@@ -103,7 +102,7 @@ __all__ = [
     "load_order_file", "write_order_file",
     # fit
     "FitConfig", "FitResult", "fit_oada", "compare_models", "ComparisonRow",
-    "standard_errors", "hessian_standard_errors", "minimize_multistart",
+    "hessian_standard_errors", "minimize_multistart",
     # profile CI
     "ProfileCI", "ProfileConfig", "profile_ci", "profile_nll",
     "profile_interval", "DEFAULT_CUTOFF",

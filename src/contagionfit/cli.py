@@ -14,6 +14,7 @@ Indices are 1-based on the command line and in all files; exit codes are
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -187,6 +188,10 @@ def _write_json(doc, path: str | None = None) -> None:
         fh.write(text)
 
 
+def _csv_number(v: float) -> str:
+    return repr(float(v)) if math.isfinite(v) else "inf"
+
+
 def _format_value(v: float) -> str:
     return f"{v:.6g}"
 
@@ -314,33 +319,14 @@ def cmd_compare(args) -> int:
             failed.append(rule.kind)
             print(f"warning: fit of {rule.kind!r} failed: {exc}", file=sys.stderr)
 
-    rows = compare_models(fits) if fits else []
-    out_rows = [
-        {
-            "model": r.rule_kind,
-            "k": r.k,
-            "nll": repr(float(r.nll)),
-            "aicc": repr(float(r.aicc_value)) if math.isfinite(r.aicc_value) else "inf",
-            "delta_aicc": repr(float(r.delta_aicc)) if math.isfinite(r.delta_aicc) else "inf",
-            "favored": str(r.favored).lower(),
-        }
-        for r in rows
-    ]
-    for kind in failed:
-        out_rows.append(
-            {"model": kind, "k": "", "nll": "", "aicc": "", "delta_aicc": "",
-             "favored": "false"}
-        )
-    header = ["model", "k", "nll", "aicc", "delta_aicc", "favored"]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(out_rows)
-    else:
-        print(",".join(header))
-        for row in out_rows:
-            print(",".join(str(row[c]) for c in header))
+    lines = [["model", "k", "nll", "aicc", "delta_aicc", "favored"]]
+    lines += [[r.rule_kind, r.k, repr(float(r.nll)), _csv_number(r.aicc_value),
+               _csv_number(r.delta_aicc), str(r.favored).lower()]
+              for r in (compare_models(fits) if fits else [])]
+    lines += [[kind, "", "", "", "", "false"] for kind in failed]
+    # a file gets CSV's CRLF line ends, the terminal plain newlines
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        csv.writer(fh, lineterminator="\r\n" if args.out else "\n").writerows(lines)
     return EXIT_NOCONV if failed else EXIT_OK
 
 

@@ -33,7 +33,6 @@ parameter sits on a bound.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ __all__ = [
     "fit_oada",
     "compare_models",
     "ComparisonRow",
-    "standard_errors",
     "hessian_standard_errors",
     "minimize_multistart",
     "MultistartResult",
@@ -286,17 +284,6 @@ class MultistartResult:
     n_evals: int
 
 
-@functools.lru_cache(maxsize=16)
-def _box_transform(lower: tuple[float, ...], upper: tuple[float, ...]) -> BoxTransform:
-    """The `BoxTransform` of a box, built once per box: every pin of a
-    profile searches the same box, and so does every fit of one rule.
-    Its bounds are read-only, as every caller shares them."""
-    transform = BoxTransform(lower, upper)
-    transform.lower.setflags(write=False)
-    transform.upper.setflags(write=False)
-    return transform
-
-
 # what an objective may raise at a point where its rates are invalid
 _OBJECTIVE_ERRORS = (ValueError, FloatingPointError, OverflowError, ZeroDivisionError)
 
@@ -400,8 +387,7 @@ def minimize_multistart(
     the lowest final value of the runs not stopped, earliest start on exact
     ties.
     """
-    transform = _box_transform(tuple(np.asarray(lower, dtype=float).ravel().tolist()),
-                               tuple(np.asarray(upper, dtype=float).ravel().tolist()))
+    transform = BoxTransform(lower, upper)
     view = _InBox(objective, transform)
     z0 = transform.to_internal(transform.nudge_inside(np.asarray(start, dtype=float)))
     k = z0.size
@@ -647,14 +633,6 @@ def hessian_standard_errors(
     return np.sqrt(var)
 
 
-def standard_errors(fit: FitResult):
-    """Recompute SEs for a fit (None at a bound or with an unusable Hessian)."""
-    if any(fit.boundary_flags):
-        return None
-    lower, upper = fit.box
-    return hessian_standard_errors(nll_objective(fit.rule, fit.table), fit.mle, lower, upper)
-
-
 def _resolve_bounds(rule: TransmissionRule, cfg: FitConfig):
     lower = tuple(cfg.lower) if cfg.lower is not None else rule.lower
     upper = tuple(cfg.upper) if cfg.upper is not None else rule.upper
@@ -758,7 +736,8 @@ def compare_models(fits: Sequence[FitResult]) -> list[ComparisonRow]:
 
     Rows come back sorted by ascending AICc.  Exactly one row is favored:
     the strictly lowest AICc, with exact ties broken by fewer parameters
-    and then by the order the fits were passed in.
+    and then by the order the fits were passed in.  A row whose AICc equals
+    the best, an infinite one included, has ``delta_aicc`` 0.0.
     """
     fits = list(fits)
     if not fits:
@@ -780,7 +759,7 @@ def compare_models(fits: Sequence[FitResult]) -> list[ComparisonRow]:
                 k=f.k,
                 nll=f.nll,
                 aicc_value=f.aicc,
-                delta_aicc=f.aicc - best,
+                delta_aicc=0.0 if f.aicc == best else f.aicc - best,  # inf - inf is nan
                 favored=(i == winner),
             )
         )

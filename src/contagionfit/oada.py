@@ -198,12 +198,6 @@ class EventTable:
         return self.run_w.size
 
     @functools.cached_property
-    def _naive_count(self) -> np.ndarray:
-        """``n_naive`` as floats, so that an evaluation does not convert it
-        again (`_scaled_nll`)."""
-        return self.n_naive.astype(float)
-
-    @functools.cached_property
     def _flow_index(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
         """(first replacing run, the runs those replace, start offset of
         each event's runs, events where no run starts or None if there are
@@ -386,7 +380,7 @@ def _scaled_nll(s: float, pieces, table: EventTable) -> tuple[float, np.ndarray]
     always see an ordered objective (under `_QUIET`, which callers enter).
     """
     c, a = pieces
-    denom = table._naive_count + s * c
+    denom = table.n_naive + s * c
     val = float(np.log(denom).sum() - np.log1p(s * a).sum())
     return (val if math.isfinite(val) else math.inf), denom
 

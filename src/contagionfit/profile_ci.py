@@ -145,12 +145,6 @@ class ProfileCI:
         hi_ok = True if self.upper_open else value <= self.upper
         return bool(lo_ok and hi_ok)
 
-    @property
-    def width(self) -> float:
-        if self.lower_open or self.upper_open:
-            return math.inf
-        return self.upper - self.lower
-
     def report_dict(self) -> dict:
         return {
             "param": self.param_name,
@@ -302,56 +296,55 @@ def _search_side(
     `_trusted` and points outward steps to where the profile's tangent
     meets the target (`_tangent_root`, in ``log(x - base)`` when ``base``,
     the parameter's lower bound, is finite) instead of doubling, when that
-    is nearer and the straight tangent does not pass the box bound.  A step
-    within `_root_tol` of its estimated crossing (`_newton_error`) is an
-    exit and ends there; otherwise `_slope_root` finds the crossing after
-    the last pin inside.
+    is nearer and the straight tangent does not pass the box bound.  The
+    crossing is found where the search leaves the region: a step within
+    `_root_tol` of its estimated crossing (`_newton_error`) is an exit that
+    ends there, and a pin outside after one inside starts `_slope_root`
+    between the two.  The last exit is the endpoint.
     """
     target = nll_min + cfg.cutoff
-    ceiling_span = CEILING_SCALE * max(1.0, abs(mle))
-    limit = mle + direction * ceiling_span
-    limited_by_bound = False
-    if direction > 0 and bound < limit:
-        limit, limited_by_bound = bound, True
-    if direction < 0 and bound > limit:
-        limit, limited_by_bound = bound, True
+    limit = mle + direction * CEILING_SCALE * max(1.0, abs(mle))
+    limited_by_bound = direction * (limit - bound) > 0
+    if limited_by_bound:
+        limit = bound
 
     if direction * (limit - mle) <= 0:  # MLE already sits on the bound
         return limit, False, True
 
     offset = max(FIRST_OFFSET_FRAC * abs(mle), FIRST_OFFSET_FLOOR)
-    pins = [(mle, nll_min, 0.0)]  # (x, value, slope); the fit's MLE is a stationary point
+    last = (mle, nll_min, 0.0)  # (x, value, slope); the fit's MLE is a stationary point
     exits = crossings = 0  # odd crossings: the last pin or tangent is outside
-    root = None  # (index of the last pin inside, the crossing after it)
     x = mle + direction * offset
     while True:
         if direction * (x - limit) >= 0:
             x = limit
-        pins.append((x, *pin(x)))
-        _, f, g = pins[-1]
-        crossings += (f > target) != (crossings % 2 == 1)
+        before, last = last, (x, *pin(x))
+        _, f, g = last
+        if (f > target) != (crossings % 2 == 1):
+            crossings += 1
+            if f > target:
+                # found now, so that none of its pins starts from the lookahead's optimum
+                endpoint = _slope_root(pin, before, last, target, base, cfg)
         if x == limit:
             break
         if f > target:
             exits += 1
             if exits >= 2:  # one lookahead point past the first exit
                 break
-            # found now, so that none of its pins starts from the lookahead's optimum
-            root = len(pins) - 2, _slope_root(pin, pins[-2], pins[-1], target, base, cfg)
         offset *= BRACKET_FACTOR
         x = mle + direction * offset
-        if f <= target and direction * g > 0 and _trusted(pins[-2], pins[-1]):
-            tangent = _tangent_root(*pins[-1], target, base)
+        if f <= target and direction * g > 0 and _trusted(before, last):
+            tangent = _tangent_root(*last, target, base)
             # a tangent in log(x - base) never reaches a box bound: where the
             # straight one passes the bound, the doubling goes on to pin it
-            straight = pins[-1][0] + (target - f) / g
+            straight = last[0] + (target - f) / g
             past_bound = limited_by_bound and direction * (straight - limit) >= 0
             if direction * (x - tangent) > 0 and not past_bound:  # nearer than doubling
                 x, offset = tangent, direction * (tangent - mle)
                 if (direction * (limit - x) > 0
-                        and _newton_error(pins[-2], pins[-1], x, base) <= _root_tol(x, cfg)):
+                        and _newton_error(before, last, x, base) <= _root_tol(x, cfg)):
                     # tangents reached the crossing from inside: an exit
-                    root = len(pins) - 1, x
+                    endpoint = x
                     crossings += 1
                     exits += 1
                     if exits >= 2:
@@ -370,12 +363,7 @@ def _search_side(
         if limited_by_bound:
             return limit, False, True  # truncated at the box bound
         return limit, True, False  # open: ceiling reached inside the region
-
-    # the side ended outside, so a crossing follows the last pin inside
-    last_in = max(i for i, (_, f, _) in enumerate(pins) if f <= target)
-    if root is None or root[0] != last_in:
-        root = last_in, _slope_root(pin, pins[last_in], pins[last_in + 1], target, base, cfg)
-    return root[1], False, False
+    return endpoint, False, False
 
 
 def _root_tol(x: float, cfg: ProfileConfig) -> float:

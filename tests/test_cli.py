@@ -273,7 +273,7 @@ def test_compare_csv_out(toy_files, tmp_path):
     assert len(lines) == 3
 
 
-def test_compare_failed_rule_exits_2_with_empty_row(toy_files, capsys, monkeypatch):
+def test_compare_failed_rule_exits_2_with_empty_row(toy_files, tmp_path, capsys, monkeypatch):
     import contagionfit.cli as cli_mod
 
     fit = cli_mod.fit_oada
@@ -285,10 +285,9 @@ def test_compare_failed_rule_exits_2_with_empty_row(toy_files, capsys, monkeypat
 
     monkeypatch.setattr(cli_mod, "fit_oada", fit_or_fail)
     net, order = toy_files
-    code = main([
-        "compare", "--network", net, "--order", order,
-        "--rules", "asocial,proportional,simple",
-    ])
+    args = ["compare", "--network", net, "--order", order,
+            "--rules", "asocial,proportional,simple"]
+    code = main(args)
     captured = capsys.readouterr()
     assert code == 2
     assert "'proportional' failed" in captured.err
@@ -296,6 +295,24 @@ def test_compare_failed_rule_exits_2_with_empty_row(toy_files, capsys, monkeypat
     assert len(lines) == 4
     assert lines[-1] == "proportional,,,,,false"
     assert lines[1].endswith(",true")
+    # --out writes the same rows, with CSV's CRLF line ends
+    out = tmp_path / "cmp.csv"
+    assert main([*args, "--out", str(out)]) == 2
+    written = out.read_bytes()
+    assert written.count(b"\r\n") == len(lines)
+    assert written.replace(b"\r\n", b"\n") == captured.out.encode()
+
+
+def test_compare_one_event_favoured_row_has_zero_delta(tmp_path, capsys):
+    net = tmp_path / "net.csv"
+    net.write_text("0,1\n1,0\n")
+    order = tmp_path / "order.txt"
+    order.write_text("1\n")
+    code = main(["compare", "--network", str(net), "--order", str(order),
+                 "--rules", "asocial,simple"])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[0][0] == "asocial" and rows[0][3:] == ["inf", "0.0", "true"]
 
 
 def test_compare_duplicate_rules_exit_1(toy_files, capsys):

@@ -557,6 +557,16 @@ def test_compare_models_tie_prefers_fewer_params(toy_data):
     assert rows[0].rule_kind == "proportional" or rows[0].aicc_value < rows[1].aicc_value
 
 
+def test_compare_models_infinite_best_aicc_has_zero_delta():
+    # with one event every AICc is +inf (n - k - 1 <= 0); the favoured row's
+    # delta is 0.0, not inf - inf = nan
+    data = DiffusionData(Network(np.array([[0.0, 1.0], [1.0, 0.0]])), np.array([0]))
+    rows = compare_models([fit_oada(data, asocial_rule()), fit_oada(data, simple_rule())])
+    assert [r.aicc_value for r in rows] == [math.inf, math.inf]
+    assert rows[0].favored and rows[0].delta_aicc == 0.0
+    assert rows[1].delta_aicc == 0.0
+
+
 def test_compare_models_rejects_mixed_data(toy_data):
     other = DiffusionData(toy_data.network, np.array([0, 1, 2, 3, 4]))
     f1 = fit_oada(toy_data, asocial_rule())

@@ -163,6 +163,21 @@ def test_non_finite_profile_counts_as_outside(bad):
     assert ci.profile_points == profile_interval(tail(math.inf), 0.0, 0.0).profile_points
 
 
+def test_second_exit_after_a_reentry_gives_the_outermost_crossing():
+    # the step profile leaves the region at 1, comes back in on [1.5, 3] and
+    # leaves again at 3: the lookahead pin finds the re-entry, and the
+    # crossing is found again where the search leaves the region the second time
+    def steps(x):
+        return 0.0 if x <= 1.0 or 1.5 <= x <= 3.0 else 5.0
+
+    cfg = ProfileConfig()
+    ci = profile_interval(steps, 0.0, 0.0, lower_bound=-10.0, config=cfg)
+    assert abs(ci.upper - 3.0) <= cfg.rel_tol / 4 * (1 + 3.0)
+    assert not ci.upper_open and not ci.at_upper_bound
+    assert "non-monotone profile on the upper side; outermost crossing used" in ci.diagnostics
+    assert ci.lower == -10.0 and ci.at_lower_bound and not ci.lower_open
+
+
 def test_mle_always_inside():
     for m, h in [(0.0, 5.0), (42.0, 0.01)]:
         ci = profile_interval(quad_pnll(m, h), m, 0.0)
