@@ -125,7 +125,14 @@ def _rules_from_args(names, args) -> list:
 def _load_data(network: str, order: str, header: bool) -> DiffusionData:
     """The network CSV file ``network`` and the order ``order``, a file or inline text."""
     net = load_network_csv(network, header=header)
-    seq = load_order_file(order) if os.path.exists(order) else parse_order_text(order)
+    if os.path.exists(order):
+        seq = load_order_file(order)
+    else:
+        try:
+            seq = parse_order_text(order)
+        except ValueError as exc:  # most likely a mistyped path
+            raise ValueError(f"order {order!r}: no such file, and not a 1-based order "
+                             f"({exc})") from None
     return DiffusionData(network=net, order=seq, label=network)
 
 

@@ -354,12 +354,13 @@ def calibrate_ci(
 ) -> CalibrationResult:
     """Parametric-bootstrap calibration of one parameter's profile CI.
 
-    Simulates ``reps`` datasets on the fitted network at the fitted MLE,
-    refits each, and records the likelihood-ratio statistic of the
-    generating parameter value.  The adjusted cutoff is half the 95th
-    percentile of those statistics (never below the asymptotic 1.92), and
-    the adjusted interval is forced to contain the unadjusted one.  Profiles
-    use the default `ProfileConfig`.
+    Simulates ``reps`` datasets on the fitted network at the fitted MLE, in
+    the box the fit searched (it may reach past the rule's own), refits
+    each, and records the likelihood-ratio statistic of the generating
+    parameter value.  The adjusted cutoff is half the 95th percentile of
+    those statistics (never below the asymptotic 1.92), and the adjusted
+    interval is forced to contain the unadjusted one.  Profiles use the
+    default `ProfileConfig`.
 
     Raises `CalibrationError` when more than `MAX_FAILURE_FRAC` of the
     bootstrap replicates fail to fit.
@@ -374,6 +375,8 @@ def calibrate_ci(
     prof_cfg = ProfileConfig()
     base_fit_cfg = fit_config or fit.config or FitConfig()
     gen_value = float(fit.mle[param_index])
+    lower, upper = fit.box
+    sim_rule = replace(rule, lower=tuple(map(float, lower)), upper=tuple(map(float, upper)))
 
     lr_stats: list[float] = []
     n_failed = 0
@@ -381,7 +384,7 @@ def calibrate_ci(
         try:
             data, _ = simulate_diffusion(
                 fit.data.network,
-                rule,
+                sim_rule,
                 fit.mle,
                 seed=np.random.SeedSequence([seed, rep, 0]),
                 stop_after=fit.table.n_events,

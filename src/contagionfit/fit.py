@@ -1,10 +1,11 @@
 """Maximum-likelihood fitting of transmission rules to acquisition orders.
 
 `minimize_multistart` is the package's one box minimizer; every fit and
-every profile pin goes through it.  It works on a smooth reparameterization
-of the box: one-sided bounds map through log, two-sided bounds through a
-scaled logit, unbounded coordinates pass through.  The number of free
-coordinates picks the method:
+every profile pin (a box whose two bounds on the pinned parameter are
+equal) goes through it.  It works on a smooth reparameterization of the
+box: one-sided bounds map through log, two-sided bounds through a scaled
+logit, unbounded coordinates pass through, and a pinned coordinate has
+none.  The number of free coordinates picks the method:
 
 - none (the asocial rule, or a pin of a one-parameter rule): one evaluation;
 - one (simple, proportional, the nuisance of a two-parameter profile): a
@@ -12,9 +13,10 @@ coordinates picks the method:
   outward while the best point is at the edge, then a polish of each local
   minimum of the scan between its neighbours by safeguarded Newton steps,
   on the exact first and second derivatives along s that the objective
-  carries (the built-in simple and proportional rules, and a freqdep pin of
-  f, see `nll_objective`), else on central differences of its values (along
-  f, and for threshold, custom and ``full_rate`` rules);
+  carries when s is the free coordinate (the built-in simple and
+  proportional rules, and a freqdep pin of f, see `nll_objective`), else on
+  central differences of its values (along f, and for threshold, custom
+  and ``full_rate`` rules);
 - two or more: a local search from the start plus ``restarts`` jittered
   restarts; the best end point wins, with ties broken toward the earlier
   start so results are reproducible.  The search is BFGS when the objective
@@ -180,87 +182,96 @@ class BoxTransform:
     A coordinate with one finite bound is ``anchor + sign * exp(z)``: the
     anchor is that bound, and the sign is +1 above a lower bound, -1 below
     an upper one.  A two-sided coordinate is a scaled logit, a coordinate
-    with no bound passes through."""
+    with no bound passes through.  A coordinate whose two bounds are equal
+    is *pinned*: it has no internal coordinate and reads its bound.  ``free``
+    lists the other coordinates, and ``k`` counts them."""
 
-    _FREE, _ONE_SIDED, _BOTH = range(3)
+    _UNBOUNDED, _ONE_SIDED, _BOTH, _PINNED = range(4)
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound length mismatch")
-        if np.any(self.lower >= self.upper):
-            raise ValueError("each lower bound must be strictly below its upper bound")
+        if np.any(self.lower > self.upper):
+            raise ValueError("each lower bound must not be above its upper bound")
         self.kinds, self.anchors, self.signs = [], [], []
         for lo, hi in zip(self.lower, self.upper):
             lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
-            self.kinds.append(self._BOTH if lo_f and hi_f
+            self.kinds.append(self._PINNED if lo == hi
+                              else self._BOTH if lo_f and hi_f
                               else self._ONE_SIDED if lo_f or hi_f
-                              else self._FREE)
+                              else self._UNBOUNDED)
             self.anchors.append(lo if lo_f else hi)
             self.signs.append(1.0 if lo_f else -1.0)
+        self.free = [i for i, kind in enumerate(self.kinds) if kind != self._PINNED]
 
     @property
     def k(self) -> int:
-        return self.lower.size
+        return len(self.free)
 
     def to_internal(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        z = np.empty_like(x)
-        for i, kind in enumerate(self.kinds):
-            if kind == self._FREE:
-                z[i] = x[i]
+        z = np.empty(self.k)
+        for j, i in enumerate(self.free):
+            kind = self.kinds[i]
+            if kind == self._UNBOUNDED:
+                z[j] = x[i]
             elif kind == self._ONE_SIDED:
-                z[i] = math.log(max(self.signs[i] * (x[i] - self.anchors[i]), 1e-300))
+                z[j] = math.log(max(self.signs[i] * (x[i] - self.anchors[i]), 1e-300))
             else:
                 lo, hi = self.lower[i], self.upper[i]
                 p = min(max((x[i] - lo) / (hi - lo), 1e-12), 1.0 - 1e-12)
-                z[i] = logit(p)
+                z[j] = logit(p)
         return z
 
     def to_external(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        x = np.empty_like(z)
-        for i, kind in enumerate(self.kinds):
-            if kind == self._FREE:
-                x[i] = z[i]
+        x = self.lower.copy()  # a pinned coordinate reads its bound
+        for j, i in enumerate(self.free):
+            kind = self.kinds[i]
+            if kind == self._UNBOUNDED:
+                x[i] = z[j]
             elif kind == self._ONE_SIDED:
-                x[i] = self.anchors[i] + self.signs[i] * math.exp(min(z[i], 700.0))
+                x[i] = self.anchors[i] + self.signs[i] * math.exp(min(z[j], 700.0))
             else:
                 lo, hi = self.lower[i], self.upper[i]
-                x[i] = lo + (hi - lo) * expit(z[i])
+                x[i] = lo + (hi - lo) * expit(z[j])
         return x
 
     def dx_dz(self, z) -> np.ndarray:
-        """Derivative of `to_external` at ``z``, per coordinate."""
+        """Derivative of `to_external` at ``z``, per free coordinate."""
         z = np.asarray(z, dtype=float)
         d = np.empty_like(z)
-        for i, kind in enumerate(self.kinds):
-            if kind == self._FREE:
-                d[i] = 1.0
+        for j, i in enumerate(self.free):
+            kind = self.kinds[i]
+            if kind == self._UNBOUNDED:
+                d[j] = 1.0
             elif kind == self._ONE_SIDED:
-                d[i] = self.signs[i] * (math.exp(z[i]) if z[i] < 700.0 else 0.0)
+                d[j] = self.signs[i] * (math.exp(z[j]) if z[j] < 700.0 else 0.0)
             else:
-                p = expit(z[i])
-                d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p)
+                p = expit(z[j])
+                d[j] = (self.upper[i] - self.lower[i]) * p * (1.0 - p)
         return d
 
     def d2x_dz2(self, z) -> np.ndarray:
-        """Second derivative of `to_external` at ``z``, per coordinate."""
+        """Second derivative of `to_external` at ``z``, per free coordinate."""
         z = np.asarray(z, dtype=float)
         d = np.empty_like(z)
-        for i, kind in enumerate(self.kinds):
-            if kind == self._FREE:
-                d[i] = 0.0
+        for j, i in enumerate(self.free):
+            kind = self.kinds[i]
+            if kind == self._UNBOUNDED:
+                d[j] = 0.0
             elif kind == self._ONE_SIDED:
-                d[i] = self.signs[i] * (math.exp(z[i]) if z[i] < 700.0 else 0.0)
+                d[j] = self.signs[i] * (math.exp(z[j]) if z[j] < 700.0 else 0.0)
             else:
-                p = expit(z[i])
-                d[i] = (self.upper[i] - self.lower[i]) * p * (1.0 - p) * (1.0 - 2.0 * p)
+                p = expit(z[j])
+                d[j] = (self.upper[i] - self.lower[i]) * p * (1.0 - p) * (1.0 - 2.0 * p)
         return d
 
     def nudge_inside(self, x) -> np.ndarray:
-        """Move points sitting on (or outside) a bound strictly inside."""
+        """Move points sitting on (or outside) a bound strictly inside; a
+        pinned coordinate is left alone."""
         x = np.asarray(x, dtype=float).copy()
         for i, kind in enumerate(self.kinds):
             if kind == self._ONE_SIDED:
@@ -278,7 +289,7 @@ class BoxTransform:
 
 @dataclass(frozen=True, eq=False)
 class MultistartResult:
-    x: np.ndarray
+    x: np.ndarray  # the full point, pinned coordinates included
     fun: float
     converged: bool
     n_evals: int
@@ -303,13 +314,15 @@ class _InBox:
     way `minimize_multistart` evaluates it.  Every evaluation goes through
     `_external`, which counts it in ``n_evals``; a point where the objective
     raises one of `_OBJECTIVE_ERRORS` or gives nan reads +inf (`_safe`);
-    derivatives are chained through the transform."""
+    derivatives are chained through the transform on its free coordinates.
+    The objective's ``along`` differentiates in s, the first parameter, so
+    it is used only when s is the one free coordinate."""
 
     def __init__(self, objective: Callable[[np.ndarray], float], transform: BoxTransform):
         self.transform = transform
         self.value = _safe(objective)
         self.gradient = getattr(objective, "value_and_grad", None)
-        self.along = getattr(objective, "along", None)
+        self.along = getattr(objective, "along", None) if transform.free == [0] else None
         self.n_evals = 0
 
     def _external(self, z) -> np.ndarray:
@@ -330,7 +343,7 @@ class _InBox:
             f = math.inf
         if not f < math.inf:  # +inf or nan
             return _NM_INF, np.zeros_like(z)
-        return f, np.asarray(g, dtype=float) * self.transform.dx_dz(z)
+        return f, np.asarray(g, dtype=float)[self.transform.free] * self.transform.dx_dz(z)
 
     def derivatives(self, z: float) -> tuple[float, float, float]:
         """Value with its first and second derivatives in the one internal
@@ -363,17 +376,19 @@ def minimize_multistart(
 ) -> MultistartResult:
     """Minimize ``objective`` over the box [``lower``, ``upper``] from ``start``.
 
-    The dimension picks the method.  With no coordinates the objective is
-    evaluated once.  With one, `_scan_and_polish` scans a grid around
+    A coordinate whose two bounds are equal is pinned there (`BoxTransform`),
+    as a profile pins a parameter; ``x`` is always the full point.  The
+    number of free coordinates picks the method.  With none the objective
+    is evaluated once.  With one, `_scan_and_polish` scans a grid around
     ``centre`` (default ``start``) plus ``start`` itself and polishes the
     best point by Newton steps, on ``objective.along`` (params -> (value,
-    first and second derivative), as `nll_objective` gives along s) when
-    it has one, else on central differences; ``restarts``, ``tolerance``,
-    ``max_evals`` and ``seed`` are not used.  With two or more,
-    `_local_search` runs from ``start`` plus ``restarts`` jittered
-    restarts, all on the transformed space: BFGS when ``objective``
-    carries ``value_and_grad`` (params -> (value, gradient), as
-    `nll_objective` gives for the freqdep rule), else Nelder-Mead, which
+    first and second derivative) in s, as `nll_objective` gives) when it
+    has one and s is the free coordinate, else on central differences;
+    ``restarts``, ``tolerance``, ``max_evals`` and ``seed`` are not used.
+    With two or more, `_local_search` runs from ``start`` plus ``restarts``
+    jittered restarts, all on the transformed space: BFGS when
+    ``objective`` carries ``value_and_grad`` (params -> (value, gradient),
+    as `nll_objective` gives for the freqdep rule), else Nelder-Mead, which
     alone uses ``tolerance`` and ``max_evals``.  Each run after the first
     stops once its iterate (BFGS's iterate, or Nelder-Mead's best vertex)
     is within `KNOWN_BASIN_RADIUS` in the inf-norm of the transformed space
@@ -392,7 +407,7 @@ def minimize_multistart(
     z0 = transform.to_internal(transform.nudge_inside(np.asarray(start, dtype=float)))
     k = z0.size
     if k == 0:
-        return MultistartResult(z0, view(z0), True, view.n_evals)
+        return MultistartResult(transform.to_external(z0), view(z0), True, view.n_evals)
     if k == 1:
         zc = z0 if centre is None else transform.to_internal(
             transform.nudge_inside(np.asarray(centre, dtype=float)))
@@ -639,6 +654,8 @@ def _resolve_bounds(rule: TransmissionRule, cfg: FitConfig):
     k = rule.n_params
     if len(lower) != k or len(upper) != k:
         raise ValueError(f"bounds must have {k} entries for rule {rule.kind!r}")
+    if any(lo >= hi for lo, hi in zip(lower, upper)):  # no pin: AICc counts every parameter
+        raise ValueError("each lower bound must be strictly below its upper bound")
     return np.asarray(lower, float), np.asarray(upper, float)
 
 

@@ -202,8 +202,9 @@ def load_network_csv(path: str, header: bool = False) -> Network:
     Parameters
     ----------
     path : str
-        CSV file, one row per line, with LF, CRLF or CR line ends.  Blank
-        lines are ignored; cells may be quoted.
+        CSV file in UTF-8 (a leading byte-order mark is skipped), one row
+        per line, with LF, CRLF or CR line ends.  Blank lines are ignored;
+        cells may be quoted.
     header : bool
         Skip a single leading header row.
 
@@ -217,7 +218,7 @@ def load_network_csv(path: str, header: bool = False) -> Network:
     weights = None  # allocated from the first row's width
     n_rows = 0  # rows past the first row's width are counted, not stored
     line_no = 2 if header else 1  # of the next line read
-    with open(path) as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
         if header:
             next(fh, None)

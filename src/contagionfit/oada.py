@@ -52,9 +52,10 @@ use it.  The first and second derivatives along s, which one-coordinate
 searches in s use, are O(D) as well; a one-coordinate search in a shape
 parameter differences the values instead.  One objective object
 (`nll_objective`) holds the prepared rates and the cached pieces and gives
-all of these; its pinned view (`_Objective.pin`) is a profile's inner
-objective, and its slope in the pinned parameter is the profile's slope at
-the inner optimum.
+all of these on full parameter vectors.  A profile's inner fit minimizes
+that same objective in a box whose two bounds on the pinned parameter are
+equal (`fit.BoxTransform`), and its derivative in the pinned parameter at
+the inner optimum is the profile's slope.
 """
 
 from __future__ import annotations
@@ -442,10 +443,6 @@ class _Objective:
         with np.errstate(**_QUIET):
             return _scaled_nll(1.0, _run_pieces(rates, self.table), self.table)[0]
 
-    def pin(self, index: int, value: float) -> _Pinned:
-        """This objective with parameter ``index`` held at ``value``."""
-        return _Pinned(self, index, value)
-
 
 class _ShapeObjective(_Objective):
     """The NLL for rates ``s * x``, where the shape ``x`` depends on the
@@ -525,44 +522,6 @@ class _ShapeObjective(_Objective):
             return val, float(u.sum() - v.sum()), float(v @ v - u @ u)
 
 
-class _Pinned:
-    """An objective with parameter ``index`` held at ``value``: a callable
-    of the other parameters, the *free* ones.  When s is free and first
-    (a pin of a shape parameter), it carries the objective's ``along``, the
-    derivatives along s.  With a gradient, ``slope`` gives the NLL's
-    derivative in the pinned parameter, which at the optimum over the free
-    parameters is the slope of the profile (the envelope theorem); without
-    one, `profile_ci._Profile` differences the values."""
-
-    def __init__(self, objective: _Objective, index: int, value: float):
-        self.objective = objective
-        self.index = index
-        self.value = value
-
-    def full(self, free) -> np.ndarray:
-        i = self.index
-        params = np.empty(len(free) + 1)
-        params[:i] = free[:i]
-        params[i] = self.value
-        params[i + 1:] = free[i:]
-        return params
-
-    def __call__(self, free) -> float:
-        return self.objective(self.full(free))
-
-    @property
-    def along(self):
-        if self.objective.along is None or self.index == 0:
-            return None
-        return lambda free: self.objective.along(self.full(free))
-
-    def slope(self, free) -> float:
-        """O(D) in s (`along`), one adjoint pass in a shape parameter."""
-        if self.index == 0:
-            return self.objective.along(self.full(free))[1]
-        return float(self.objective.value_and_grad(self.full(free))[1][self.index])
-
-
 def negative_log_likelihood(rule: TransmissionRule, params, table: EventTable) -> float:
     """Exact NLL of the observed acquisition order under ``rule``.
 
@@ -622,7 +581,9 @@ def parse_order_text(text: str) -> np.ndarray:
 
 
 def load_order_file(path: str) -> np.ndarray:
-    with open(path) as fh:
+    """Read a 1-based order file (`parse_order_text`), UTF-8 with or
+    without a byte-order mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_order_text(fh.read())
 
 

@@ -33,17 +33,20 @@ there and flagged ``at_*_bound``; a side that reaches the search ceiling
 (1e6 x max(1, |MLE|)) without crossing is reported as *open*.
 
 Inner fit: each pinned value re-minimizes the NLL over the other
-parameters with one `fit.minimize_multistart` call, so the number of free
-parameters picks the method.  A one-parameter rule's profile is its NLL at
-the pin.  A two-parameter rule scans its one nuisance, centred on the fit
-MLE's value, from the warm start of this side of the MLE, and polishes with
-safeguarded Newton steps on the NLL's first and second derivatives along
-the nuisance: exact along s (a pin of f passes on the objective's
-``along``), central differences along f and for rules without ``along``;
+parameters with one `fit.minimize_multistart` call on full parameter
+vectors, in the fit's box with both bounds of the pinned parameter at the
+pinned value (a side of width 0, which `fit.BoxTransform` holds), so the
+number of free parameters picks the method.  A one-parameter rule's profile
+is its NLL at the pin.  A two-parameter rule scans its one nuisance, centred
+on the fit MLE's value, from the warm start of this side of the MLE, and
+polishes with safeguarded Newton steps on the NLL's first and second
+derivatives along the nuisance: exact along s (the objective's ``along``),
+central differences along f and for rules without ``along``;
 the outward steps of the scan follow a profile that falls towards a limit
-(f -> infinity, a step rule).  Rules with three or more parameters run
-Nelder-Mead multistart (`ProfileConfig.inner_restarts`, `inner_max_evals`
-and `seed` act only on them).
+(f -> infinity, a step rule).  Rules with three or more parameters run the
+multistart, Nelder-Mead for the built-in threshold rule with b estimated
+(`ProfileConfig.inner_restarts`, `inner_max_evals` and `seed` act only on
+them).
 """
 
 from __future__ import annotations
@@ -163,16 +166,16 @@ class ProfileCI:
 class _Profile:
     """Profile NLL of one parameter: the module's only inner fit.
 
-    Pins parameter ``index`` (the objective's pinned view,
-    `oada._Objective.pin`) and minimizes the NLL over the others in the box
-    [``lower``, ``upper``] with one `minimize_multistart` call per pin, from
-    a warm start: the free part of ``start`` (which also centres a
+    A pin at ``value`` is a fit in the box [``lower``, ``upper``] with both
+    bounds of parameter ``index`` at ``value`` (`fit.BoxTransform` holds
+    such a coordinate), one `minimize_multistart` call on full parameter
+    vectors from a warm start: ``start`` (which also centres a
     one-nuisance scan) at the first pin on each side of ``centre``, then
     the optimum of the side's last pin, so one instance serves both
     directions of an interval search and neither inherits the other's
     optimum.  A one-nuisance search ends in a Newton polish, on the
-    objective's ``along`` when the nuisance is s (`oada._Pinned.along`).
-    ``value_and_slope`` gives the profile value with its slope.
+    objective's ``along`` when the nuisance is s.  ``value_and_slope``
+    gives the profile value with its slope.
     """
 
     def __init__(self, table, rule, index, lower, upper, start, centre, cfg):
@@ -180,50 +183,56 @@ class _Profile:
         self.index = index
         self.centre = centre
         self.cfg = cfg
-        self.free_start = np.delete(np.asarray(start, dtype=float), index)
-        self.bounds = lower[index], upper[index]
-        self.lower = np.delete(lower, index)
-        self.upper = np.delete(upper, index)
+        self.start, self.lower, self.upper = start, lower, upper
         self.side = None
-        self.warm = self.free_start
+        self.warm = start
+
+    def _at(self, x, value: float) -> np.ndarray:
+        """A copy of ``x`` with the pinned parameter at ``value``."""
+        x = np.array(x, dtype=float)
+        x[self.index] = value
+        return x
 
     def _pin(self, value: float):
-        """(pinned view, `minimize_multistart` result) at ``value``."""
+        """The `minimize_multistart` result at ``value``."""
         side = value > self.centre
         if side != self.side:
-            self.side, self.warm = side, self.free_start
-        view = self.objective.pin(self.index, value)
+            self.side, self.warm = side, self.start
         ms = minimize_multistart(
-            view,
-            self.warm,
-            self.lower,
-            self.upper,
+            self.objective,
+            self._at(self.warm, value),
+            self._at(self.lower, value),
+            self._at(self.upper, value),
             restarts=self.cfg.inner_restarts,
             tolerance=INNER_TOLERANCE,
             max_evals=self.cfg.inner_max_evals,
             seed=(self.cfg.seed, self.index),
-            centre=self.free_start,
+            centre=self._at(self.start, value),
         )
         if math.isfinite(ms.fun):
             self.warm = ms.x
-        return view, ms
+        return ms
 
     def __call__(self, value: float) -> float:
-        return self._pin(value)[1].fun
+        return self._pin(value).fun
 
     def value_and_slope(self, value: float) -> tuple[float, float]:
         """(profile NLL, its slope) at ``value``.  By the envelope theorem
         the slope is the NLL's derivative in the pinned parameter at the
-        inner optimum: `oada._Pinned.slope` when the objective has a
-        gradient, else a central difference of the NLL at the inner
-        optimum's free parameters, two evaluations and no inner fit."""
-        view, ms = self._pin(value)
+        inner optimum: ``along`` in s (O(D)) or the gradient's component in
+        a shape parameter (one adjoint pass) when the objective has them,
+        else a central difference of the NLL at the inner optimum, two
+        evaluations and no inner fit."""
+        ms = self._pin(value)
         if not math.isfinite(ms.fun):
             return ms.fun, math.nan
-        if self.objective.value_and_grad is not None:
-            return ms.fun, view.slope(ms.x)
-        return ms.fun, _difference_slope(
-            lambda v: _safe(self.objective.pin(self.index, v))(ms.x), value, ms.fun, *self.bounds)
+        if self.objective.value_and_grad is None:
+            nll = _safe(self.objective)
+            return ms.fun, _difference_slope(lambda v: nll(self._at(ms.x, v)), value, ms.fun,
+                                             self.lower[self.index], self.upper[self.index])
+        if self.index == 0:
+            return ms.fun, self.objective.along(ms.x)[1]
+        return ms.fun, float(self.objective.value_and_grad(ms.x)[1][self.index])
 
 
 def _difference_slope(value_at, x: float, f: float, lower: float, upper: float) -> float:
@@ -478,7 +487,7 @@ def profile_interval(
     points: list[tuple[float, float]] = []
     value_and_slope = getattr(pnll, "value_and_slope", None)
 
-    def pin(v):
+    def recorded_pin(v):
         if value_and_slope is None:
             f = float(pnll(v))
             g = _difference_slope(lambda u: float(pnll(u)), v, f, lower_bound, upper_bound)
@@ -492,10 +501,10 @@ def profile_interval(
 
     diagnostics: list[str] = []
     lo, lo_open, lo_at_bound = _search_side(
-        pin, -1, mle_value, nll_min, lower_bound, lower_bound, cfg, diagnostics
+        recorded_pin, -1, mle_value, nll_min, lower_bound, lower_bound, cfg, diagnostics
     )
     hi, hi_open, hi_at_bound = _search_side(
-        pin, +1, mle_value, nll_min, upper_bound, lower_bound, cfg, diagnostics
+        recorded_pin, +1, mle_value, nll_min, upper_bound, lower_bound, cfg, diagnostics
     )
     points.sort()
     observed = [f for _, f in points if math.isfinite(f)]

@@ -116,6 +116,37 @@ def test_fit_bad_order_exits_1(toy_files, capsys):
     assert "6" in captured.err
 
 
+def test_fit_zero_width_box_side_exits_1(toy_files, capsys):
+    # a fit estimates every parameter, so lower == upper is refused rather
+    # than held fixed while AICc counts it
+    net, order = toy_files
+    code = main(["fit", "--network", net, "--order", order, "--rule", "freqdep",
+                 "--lower", "0,1", "--upper", "inf,1"])
+    assert code == 1
+    assert "each lower bound must be strictly below its upper bound" in capsys.readouterr().err
+
+
+def test_fit_mistyped_order_path_names_both_readings(toy_files, tmp_path, capsys):
+    net, _ = toy_files
+    code = main(["fit", "--network", net, "--order", str(tmp_path / "ordr.txt"),
+                 "--rule", "asocial"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "no such file, and not a 1-based order" in err and "ordr.txt" in err
+
+
+def test_fit_reads_files_with_a_byte_order_mark(toy_files, tmp_path, capsys):
+    # as Excel's "CSV UTF-8" writes them
+    net, order = toy_files
+    bom_net, bom_order = tmp_path / "bom_net.csv", tmp_path / "bom_order.txt"
+    bom_net.write_text("\ufeff" + Path(net).read_text(), encoding="utf-8")
+    bom_order.write_text("\ufeff" + Path(order).read_text(), encoding="utf-8")
+    code = main(["fit", "--network", str(bom_net), "--order", str(bom_order),
+                 "--rule", "asocial", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["nll"] == pytest.approx(LN_120, abs=1e-9)
+
+
 def test_fit_missing_network_exits_1(tmp_path, capsys):
     code = main([
         "fit", "--network", str(tmp_path / "absent.csv"),

@@ -293,6 +293,19 @@ def test_calibrate_ci_stays_inside_fit_box():
     assert result.adjusted.at_upper_bound
 
 
+def test_calibrate_ci_simulates_in_a_fit_box_wider_than_the_rule():
+    # FitConfig(lower=(0, 0)) reaches past the rule's f >= 0.05, and the MLE
+    # f = 3.7e-9 lies outside the rule's own box: the bootstrap simulates in
+    # the fit's box rather than fail every replicate
+    rule = frequency_dependent_rule(f_lower=0.05)
+    net = generate_network(GeneratorConfig(n=30, seed=5))
+    data, _ = simulate_diffusion(net, rule, [5.0, 0.1], seed=105)
+    fit = fit_oada(data, rule, FitConfig(lower=(0.0, 0.0), restarts=2))
+    assert fit.mle[1] < rule.lower[1]
+    result = calibrate_ci(fit, 0, reps=20)
+    assert result.n_failed == 0 and len(result.lr_stats) == 20
+
+
 def test_calibrate_ci_reproducible(quick_fit):
     a = calibrate_ci(quick_fit, 0, reps=20, seed=5)
     b = calibrate_ci(quick_fit, 0, reps=20, seed=5)

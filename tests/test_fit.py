@@ -41,13 +41,17 @@ LN_120 = math.log(120.0)
 # ------------------------------------------------------------ BoxTransform
 
 def test_box_transform_round_trips():
-    lower = [0.0, -np.inf, 0.2, -1.0]
-    upper = [np.inf, np.inf, np.inf, 1.0]
+    # the third coordinate is pinned: both bounds 3.0, no internal coordinate
+    lower = [0.0, -np.inf, 3.0, 0.2, -1.0]
+    upper = [np.inf, np.inf, 3.0, np.inf, 1.0]
     tr = BoxTransform(lower, upper)
-    x = np.array([2.5, -3.0, 0.9, 0.25])
+    assert tr.free == [0, 1, 3, 4] and tr.k == 4
+    x = np.array([2.5, -3.0, 3.0, 0.9, 0.25])
     assert np.allclose(tr.to_external(tr.to_internal(x)), x, atol=1e-9)
     z = np.array([0.3, -1.2, 2.0, -0.5])
     assert np.allclose(tr.to_internal(tr.to_external(z)), z, atol=1e-9)
+    assert tr.to_external(z)[2] == 3.0
+    assert tr.nudge_inside([1.0, 0.0, 2.0, 1.0, 0.0])[2] == 2.0  # a pin is left alone
 
 
 def test_box_transform_respects_bounds():
@@ -70,12 +74,13 @@ def test_box_transform_nudge_inside():
 
 def test_box_transform_derivatives_match_differences():
     # first and second derivatives of to_external for a lower, an upper, no
-    # and two bounds
-    tr = BoxTransform([0.0, -np.inf, -np.inf, -1.0], [np.inf, 2.0, np.inf, 3.0])
+    # and two bounds, one per free coordinate; the pinned one never moves
+    tr = BoxTransform([0.0, -np.inf, 1.5, -np.inf, -1.0], [np.inf, 2.0, 1.5, np.inf, 3.0])
     z, h = np.array([0.7, -0.4, 1.3, 0.9]), 1e-5
     first = (tr.to_external(z + h) - tr.to_external(z - h)) / (2 * h)
     second = (tr.dx_dz(z + h) - tr.dx_dz(z - h)) / (2 * h)
-    assert np.allclose(tr.dx_dz(z), first, rtol=1e-8, atol=1e-10)
+    assert first[2] == 0.0
+    assert np.allclose(tr.dx_dz(z), first[tr.free], rtol=1e-8, atol=1e-10)
     assert np.allclose(tr.d2x_dz2(z), second, rtol=1e-8, atol=1e-10)
 
 
@@ -84,6 +89,9 @@ def test_box_transform_validates():
         BoxTransform([0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         BoxTransform([2.0], [1.0])
+    with pytest.raises(ValueError):
+        BoxTransform([0.0, 2.0], [1.0, 1.0])
+    assert BoxTransform([1.0], [1.0]).k == 0  # a pin, not an empty box
 
 
 # -------------------------------------------------------------- optimizer
@@ -174,6 +182,21 @@ def test_multistart_never_worse_than_start():
 
     res = minimize_multistart(obj, start=[50.0], lower=[0.0], upper=[np.inf], seed=1)
     assert res.fun <= obj(np.array([50.0])) + 1e-12
+
+
+def test_multistart_holds_a_zero_width_side_at_its_bound():
+    # f held at 2.0 by a box of width 0 on that side: a one-coordinate
+    # search in s, whose answer is the full point
+    table = _freqdep_dataset(seed=3)
+    obj = nll_objective(frequency_dependent_rule(), table)
+    res = minimize_multistart(obj, [1.0, 2.0], [0.0, 2.0], [np.inf, 2.0])
+    assert res.x.size == 2 and res.x[1] == 2.0
+    grid = np.linspace(0.0, 4.0 * res.x[0], 40001)
+    assert res.fun <= min(obj(np.array([s, 2.0])) for s in grid) + 1e-9
+    # with every side of width 0 the answer is the box's one point
+    res = minimize_multistart(obj, [1.0, 1.0], [5.0, 2.0], [5.0, 2.0])
+    assert np.array_equal(res.x, [5.0, 2.0]) and res.n_evals == 1
+    assert res.fun == obj(np.array([5.0, 2.0]))
 
 
 def test_multistart_keeps_start_when_no_run_is_finite():
@@ -424,15 +447,15 @@ def test_one_parameter_fit_reaches_dense_grid_minimum(fit):
 
 
 def record_polish_points(monkeypatch) -> list[float]:
-    """Record the external point of every one-coordinate evaluation of the
+    """Record the free coordinate of every one-coordinate evaluation of the
     minimizer's view of the objective: the scan's and the Newton polish's."""
     points = []
     external = fit_module._InBox._external
 
     def recording(view, z):
         x = external(view, z)
-        if x.size == 1:
-            points.append(float(x[0]))
+        if view.transform.k == 1:
+            points.append(float(x[view.transform.free[0]]))
         return x
 
     monkeypatch.setattr(fit_module._InBox, "_external", recording)
