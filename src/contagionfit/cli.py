@@ -261,7 +261,7 @@ _GENERATOR_ALIASES = {"threshold": "sparsity_threshold", "mult": "multiplier_max
 
 def _parse_generator(spec: str) -> GeneratorConfig:
     if os.path.exists(spec):
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8-sig") as fh:
             return _settings(GeneratorConfig, json.load(fh), spec, _GENERATOR_FIELDS)
     if "=" not in spec:
         raise ValueError(
@@ -403,7 +403,7 @@ def _experiment_config(spec: dict, args) -> ExperimentConfig:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.spec) as fh:
+    with open(args.spec, encoding="utf-8-sig") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:

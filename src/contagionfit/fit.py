@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -176,17 +177,57 @@ class FitResult:
         }
 
 
+# one free coordinate's map between the box and R: internal from external,
+# external from internal, the first and second derivatives of external in
+# internal, and "move strictly inside"
+_Map = namedtuple("_Map", "internal external first second inside")
+
+# a coordinate with no bound passes through
+_PASS_THROUGH = _Map(lambda x: x, lambda z: z, lambda z: 1.0, lambda z: 0.0, lambda x: x)
+
+
+def _one_sided(anchor, sign: float) -> _Map:
+    """``anchor + sign * exp(z)``: the anchor is the finite bound, and the
+    sign is +1 above a lower bound, -1 below an upper one."""
+    def slope(z):  # the first and the second derivative
+        return sign * (math.exp(z) if z < 700.0 else 0.0)
+
+    def inside(x):
+        return anchor + sign * 1e-3 if sign * (x - anchor) <= 0 else x
+
+    return _Map(lambda x: math.log(max(sign * (x - anchor), 1e-300)),
+                lambda z: anchor + sign * math.exp(min(z, 700.0)), slope, slope, inside)
+
+
+def _two_sided(lo, hi) -> _Map:
+    """A scaled logit between two finite bounds."""
+    width = hi - lo
+
+    def first(z):
+        p = expit(z)
+        return width * p * (1.0 - p)
+
+    def second(z):
+        p = expit(z)
+        return width * p * (1.0 - p) * (1.0 - 2.0 * p)
+
+    def inside(x):
+        if x <= lo:
+            x = lo + 1e-3 * width
+        return hi - 1e-3 * width if x >= hi else x
+
+    return _Map(lambda x: logit(min(max((x - lo) / width, 1e-12), 1.0 - 1e-12)),
+                lambda z: lo + width * expit(z), first, second, inside)
+
+
 class BoxTransform:
     """Smooth bijection between a box and all of R^k (per coordinate).
 
-    A coordinate with one finite bound is ``anchor + sign * exp(z)``: the
-    anchor is that bound, and the sign is +1 above a lower bound, -1 below
-    an upper one.  A two-sided coordinate is a scaled logit, a coordinate
-    with no bound passes through.  A coordinate whose two bounds are equal
-    is *pinned*: it has no internal coordinate and reads its bound.  ``free``
-    lists the other coordinates, and ``k`` counts them."""
-
-    _UNBOUNDED, _ONE_SIDED, _BOTH, _PINNED = range(4)
+    Each coordinate whose bounds differ gets one `_Map` by its bounds
+    (`_one_sided`, `_two_sided` or `_PASS_THROUGH`).  A coordinate whose
+    two bounds are equal is *pinned*: it has no map and no internal
+    coordinate, and reads its bound.  ``free`` lists the other coordinates,
+    and ``k`` counts them."""
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
@@ -195,95 +236,41 @@ class BoxTransform:
             raise ValueError("bound length mismatch")
         if np.any(self.lower > self.upper):
             raise ValueError("each lower bound must not be above its upper bound")
-        self.kinds, self.anchors, self.signs = [], [], []
-        for lo, hi in zip(self.lower, self.upper):
-            lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
-            self.kinds.append(self._PINNED if lo == hi
-                              else self._BOTH if lo_f and hi_f
-                              else self._ONE_SIDED if lo_f or hi_f
-                              else self._UNBOUNDED)
-            self.anchors.append(lo if lo_f else hi)
-            self.signs.append(1.0 if lo_f else -1.0)
-        self.free = [i for i, kind in enumerate(self.kinds) if kind != self._PINNED]
+        self.free, self.maps = [], []
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            if lo != hi:
+                lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
+                self.free.append(i)
+                self.maps.append(_two_sided(lo, hi) if lo_f and hi_f
+                                 else _one_sided(lo, 1.0) if lo_f
+                                 else _one_sided(hi, -1.0) if hi_f
+                                 else _PASS_THROUGH)
 
     @property
     def k(self) -> int:
         return len(self.free)
 
     def to_internal(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = np.empty(self.k)
-        for j, i in enumerate(self.free):
-            kind = self.kinds[i]
-            if kind == self._UNBOUNDED:
-                z[j] = x[i]
-            elif kind == self._ONE_SIDED:
-                z[j] = math.log(max(self.signs[i] * (x[i] - self.anchors[i]), 1e-300))
-            else:
-                lo, hi = self.lower[i], self.upper[i]
-                p = min(max((x[i] - lo) / (hi - lo), 1e-12), 1.0 - 1e-12)
-                z[j] = logit(p)
-        return z
+        return np.array([m.internal(x[i]) for i, m in zip(self.free, self.maps)], dtype=float)
 
     def to_external(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
         x = self.lower.copy()  # a pinned coordinate reads its bound
-        for j, i in enumerate(self.free):
-            kind = self.kinds[i]
-            if kind == self._UNBOUNDED:
-                x[i] = z[j]
-            elif kind == self._ONE_SIDED:
-                x[i] = self.anchors[i] + self.signs[i] * math.exp(min(z[j], 700.0))
-            else:
-                lo, hi = self.lower[i], self.upper[i]
-                x[i] = lo + (hi - lo) * expit(z[j])
+        x[self.free] = [m.external(v) for m, v in zip(self.maps, z)]
         return x
 
     def dx_dz(self, z) -> np.ndarray:
         """Derivative of `to_external` at ``z``, per free coordinate."""
-        z = np.asarray(z, dtype=float)
-        d = np.empty_like(z)
-        for j, i in enumerate(self.free):
-            kind = self.kinds[i]
-            if kind == self._UNBOUNDED:
-                d[j] = 1.0
-            elif kind == self._ONE_SIDED:
-                d[j] = self.signs[i] * (math.exp(z[j]) if z[j] < 700.0 else 0.0)
-            else:
-                p = expit(z[j])
-                d[j] = (self.upper[i] - self.lower[i]) * p * (1.0 - p)
-        return d
+        return np.array([m.first(v) for m, v in zip(self.maps, z)], dtype=float)
 
     def d2x_dz2(self, z) -> np.ndarray:
         """Second derivative of `to_external` at ``z``, per free coordinate."""
-        z = np.asarray(z, dtype=float)
-        d = np.empty_like(z)
-        for j, i in enumerate(self.free):
-            kind = self.kinds[i]
-            if kind == self._UNBOUNDED:
-                d[j] = 0.0
-            elif kind == self._ONE_SIDED:
-                d[j] = self.signs[i] * (math.exp(z[j]) if z[j] < 700.0 else 0.0)
-            else:
-                p = expit(z[j])
-                d[j] = (self.upper[i] - self.lower[i]) * p * (1.0 - p) * (1.0 - 2.0 * p)
-        return d
+        return np.array([m.second(v) for m, v in zip(self.maps, z)], dtype=float)
 
     def nudge_inside(self, x) -> np.ndarray:
         """Move points sitting on (or outside) a bound strictly inside; a
         pinned coordinate is left alone."""
-        x = np.asarray(x, dtype=float).copy()
-        for i, kind in enumerate(self.kinds):
-            if kind == self._ONE_SIDED:
-                anchor, sign = self.anchors[i], self.signs[i]
-                if sign * (x[i] - anchor) <= 0:
-                    x[i] = anchor + sign * 1e-3
-            elif kind == self._BOTH:
-                lo, hi = self.lower[i], self.upper[i]
-                if x[i] <= lo:
-                    x[i] = lo + 1e-3 * (hi - lo)
-                if x[i] >= hi:
-                    x[i] = hi - 1e-3 * (hi - lo)
+        x = np.array(x, dtype=float)  # a copy
+        x[self.free] = [m.inside(x[i]) for i, m in zip(self.free, self.maps)]
         return x
 
 

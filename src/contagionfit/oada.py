@@ -23,10 +23,9 @@ stretch.  `build_event_table` finds the stretches without stepping through
 the events: each individual's linked in-neighbours, sorted by acquisition
 time, start its runs, and one cumulative sum along their weights gives the
 same sequential sums as the simulator's event-by-event walk.  An objective
-asks the rule once for ``params -> run rates`` on the table's run sums
-(`TransmissionRule.run_rates`: built-in rules other than asocial and
-threshold prepare their parameter-free pieces there, other rules go
-through ``sums_rate``).  Runs number at most n + the number
+evaluates the rule on the table's run sums: the simple, proportional and
+freqdep rules prepare their shape there once (`TransmissionRule.prepare`),
+other rules go through ``sums_rate``.  Runs number at most n + the number
 of edges whose source acquires before its target: about 11 000 for
 n = 1000 at 2 % density, against the 500 500 (event, naive individual)
 slots of a complete diffusion.  Rules with only ``full_rate`` walk the
@@ -51,7 +50,7 @@ parameters it is the adjoint of the prefix sum, O(runs + D) more, and fits
 use it.  The first and second derivatives along s, which one-coordinate
 searches in s use, are O(D) as well; a one-coordinate search in a shape
 parameter differences the values instead.  One objective object
-(`nll_objective`) holds the prepared rates and the cached pieces and gives
+(`nll_objective`) holds the prepared shape and the cached pieces and gives
 all of these on full parameter vectors.  A profile's inner fit minimizes
 that same objective in a box whose two bounds on the pinned parameter are
 equal (`fit.BoxTransform`), and its derivative in the pinned parameter at
@@ -153,16 +152,16 @@ class EventTable:
     ``n_naive[k]`` the size of the naive set just before event k.
 
     Event k's denominator is ``n_naive[k] + S_k``, where ``S_k`` sums the
-    rates of the runs present at k.  The run rates come from the rule's
-    ``run_rates`` on ``(run_w, run_total)``, prepared once per objective;
-    the table caches nothing per rule, which would hold memory for as long
-    as the table lives.  The likelihood forms every ``S_k`` as one prefix
-    sum over runs (`_run_pieces`): a run adds its rate minus the rate of the
-    run it replaces at its start, and an acquirer's rate leaves after its
-    event.  For a rule whose rates are ``s`` times a shape, the prefix sum
-    runs over the shape, once per shape, and ``S_k`` is ``s`` times its
-    result (`_scaled_nll`), so the objective that keeps those sums pays
-    O(D) for a new ``s``.
+    rates of the runs present at k.  The run rates come from the rule on
+    ``(run_w, run_total)``: its ``sums_rate``, or ``s`` times the shape it
+    prepares once per objective; the table caches nothing per rule, which
+    would hold memory for as long as the table lives.  The likelihood forms
+    every ``S_k`` as one prefix sum over runs (`_run_pieces`): a run adds
+    its rate minus the rate of the run it replaces at its start, and an
+    acquirer's rate leaves after its event.  For a rule whose rates are
+    ``s`` times a shape, the prefix sum runs over the shape, once per
+    shape, and ``S_k`` is ``s`` times its result (`_scaled_nll`), so the
+    objective that keeps those sums pays O(D) for a new ``s``.
     With ε = 2**-53 the absolute round-off error of ``S_k`` is of order
     ε·(R_k + k)·M_k, where R_k is the number of runs started by event k and
     M_k the largest rate, rate change or ``S`` met up to k; a direct sum over
@@ -408,40 +407,38 @@ def _nll_generic(rule: TransmissionRule, params: np.ndarray, table: EventTable) 
 
 def nll_objective(rule: TransmissionRule, table: EventTable) -> _Objective:
     """The NLL of ``rule`` on ``table`` as one objective object (no bounds
-    checks; an invalid rate raises ValueError).  The rule's parameter-free
-    run pieces are prepared here, once, and shared by every evaluation.
-    When the prepared rates have a ``shape`` (the built-in simple,
-    proportional and freqdep rules) the objective also gives the NLL's
-    gradient and its derivatives along s (`_ShapeObjective`); other rules
-    give the value alone."""
-    run_rates = rule.run_rates(table.run_w, table.run_total)
-    kind = _ShapeObjective if hasattr(run_rates, "shape") else _Objective
-    return kind(rule, table, run_rates)
+    checks; an invalid rate raises ValueError).  A rule that ``prepare``s a
+    shape (the built-in simple, proportional and freqdep rules) prepares it
+    here, once, for every evaluation, and the objective also gives the
+    NLL's gradient and its derivatives along s (`_ShapeObjective`); other
+    rules give the value alone (`_Objective`)."""
+    if rule.prepare is not None:
+        return _ShapeObjective(rule, table, rule.prepare(table.run_w, table.run_total))
+    return _Objective(rule, table)
 
 
 class _Objective:
     """params -> NLL, by the rule's one path, with every rate checked: the
     generic walk for rules without ``sums_rate``, else the `_run_pieces` of
-    ``run_rates`` (the rule's `TransmissionRule.run_rates` on the table's
-    ``(run_w, run_total)``) at scale 1.  ``value_and_grad`` and ``along``
-    are None: the one-coordinate polish and the profile's slope difference
-    the values instead, and two or more coordinates run Nelder-Mead."""
+    its ``sums_rate`` on the table's ``(run_w, run_total)`` at scale 1.
+    ``value_and_grad`` and ``along`` are None: the one-coordinate polish and
+    the profile's slope difference the values instead, and two or more
+    coordinates run Nelder-Mead."""
 
     value_and_grad = None
     along = None
 
-    def __init__(self, rule: TransmissionRule, table: EventTable, run_rates):
+    def __init__(self, rule: TransmissionRule, table: EventTable):
         self.rule = rule
         self.table = table
-        self.run_rates = run_rates
 
     def __call__(self, params) -> float:
-        params = np.asarray(params, dtype=float)
-        if self.run_rates is None:
-            return _nll_generic(self.rule, params, self.table)
-        rates = _check_rates(self.rule, self.run_rates(params))
+        params, table = np.asarray(params, dtype=float), self.table
+        if self.rule.sums_rate is None:
+            return _nll_generic(self.rule, params, table)
+        rates = _check_rates(self.rule, self.rule.sums_rate(params, table.run_w, table.run_total))
         with np.errstate(**_QUIET):
-            return _scaled_nll(1.0, _run_pieces(rates, self.table), self.table)[0]
+            return _scaled_nll(1.0, _run_pieces(rates, table), table)[0]
 
 
 class _ShapeObjective(_Objective):
@@ -451,8 +448,9 @@ class _ShapeObjective(_Objective):
     an evaluation that moves only s costs O(D), and every evaluation, with
     or without derivatives, gives the one NLL of `_scaled`."""
 
-    def __init__(self, rule: TransmissionRule, table: EventTable, run_rates):
-        super().__init__(rule, table, run_rates)
+    def __init__(self, rule: TransmissionRule, table: EventTable, prepared):
+        super().__init__(rule, table)
+        self.prepared = prepared  # the rule's shape on the table's run sums
         self.cache: dict = {}
 
     def _scaled(self, params: np.ndarray, shape: np.ndarray | None = None):
@@ -463,7 +461,7 @@ class _ShapeObjective(_Objective):
         key = params[1:].tobytes()
         entry = self.cache.pop(key, None)
         if entry is None:
-            x = np.asarray(self.run_rates.shape(params[1:]) if shape is None else shape,
+            x = np.asarray(self.prepared.shape(params[1:]) if shape is None else shape,
                            dtype=float)
             smallest, largest = x.min(), x.max()
             _check_scale(self.rule, 1.0, smallest, largest)  # the shape is the rates at s = 1
@@ -481,8 +479,7 @@ class _ShapeObjective(_Objective):
             return self._scaled(np.asarray(params, dtype=float))[0]
 
     def value_and_grad(self, params) -> tuple[float, np.ndarray]:
-        """NLL and its gradient in the parameters, for rates whose
-        ``run_rates`` has a ``shape_jacobian``.
+        """NLL and its gradient in the parameters.
 
         The derivative in s is ``Σ C/denom − Σ a/(1 + s·a)``, O(D).  The
         derivatives in the shape's parameters are ``s`` times the NLL's
@@ -493,7 +490,7 @@ class _ShapeObjective(_Objective):
         """
         params = np.asarray(params, dtype=float)
         s, rest = params[0], params[1:]
-        x, dx = self.run_rates.shape_jacobian(rest)
+        x, dx = self.prepared.shape_jacobian(rest)
         table = self.table
         with np.errstate(**_QUIET):
             val, c, a, denom = self._scaled(params, shape=x)

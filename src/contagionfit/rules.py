@@ -11,18 +11,17 @@ Every built-in rule depends on the connections only through two sums:
 ``w_informed = sum_j a_ij z_j`` (connection to informed individuals) and
 ``total = sum_j a_ij``.  Such rules carry a vectorized, elementwise
 ``sums_rate(params, w_informed, total)``, which the simulator calls on the
-individuals whose sums an event changed, and `eval_rate` on one pair.  The
-likelihood evaluates one table's fixed sums many times, so it asks the rule
-once per objective for ``params -> rates`` on those sums
-(`TransmissionRule.run_rates`): the simple, proportional and freqdep rules
-``prepare`` their parameter-free pieces there (the informed weight, an
-informed fraction, a log ratio), and every other rule, custom rules
-included, goes through ``sums_rate``.  In those three rules the learning
-strength s only scales a *shape*, the rate at s = 1: ``T = s * x``, where
-x depends on the other parameters alone (none, or f).  Their prepared rates
-give that shape and its derivatives, so the likelihood can keep a shape's
-event sums and re-evaluate a new s in O(events) (see `oada`).  Custom
-rules may instead supply a plain per-individual ``full_rate(params, a_i, z)``.
+individuals whose sums an event changed, and `eval_rate` on one pair.  In
+the simple, proportional and freqdep rules the learning strength s only
+scales a *shape*, the rate at s = 1: ``T = s * x``, where x depends on the
+other parameters alone (none, or f).  The likelihood evaluates one table's
+fixed sums many times, so those three rules ``prepare`` the shape's
+parameter-free pieces once per objective (the informed weight, an informed
+fraction, a log ratio): ``prepare(w_informed, total)`` returns the shape,
+and the rates are ``params[0]`` times it.  The likelihood keeps a shape's
+event sums and re-evaluates a new s in O(events) (see `oada`).  Every other
+rule, custom rules included, goes through ``sums_rate``, or a plain
+per-individual ``full_rate(params, a_i, z)``.
 
 Built-ins
 ---------
@@ -69,8 +68,8 @@ DEFAULT_SHARPNESS = 3.0
 SumsRate = Callable[..., np.ndarray]
 # (params, connections, status) -> scalar rate
 FullRate = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
-# (w_informed, total) -> (params -> rates on those sums)
-Prepare = Callable[..., Callable[[np.ndarray], np.ndarray]]
+# (w_informed, total) -> the shape on those sums (see TransmissionRule.prepare)
+Prepare = Callable[..., object]
 
 
 @dataclass(frozen=True)
@@ -88,17 +87,15 @@ class TransmissionRule:
         elementwise, each rate a function of its own pair of sums alone,
         because the simulator evaluates it on the subset of individuals
         whose sums changed and keeps the other rates
-    prepare : optional ``(w_informed, total) -> (params -> rates)`` that
-        computes the parameter-free pieces of ``sums_rate`` once for fixed
-        sums, giving the same rates; `run_rates` falls back to
-        ``sums_rate`` without it.  When the first parameter only scales the
-        rates, ``rates(params) == params[0] * x`` with ``x`` independent of
-        ``params[0]``, the callable may also have the methods
-        ``shape(rest) -> x`` and ``shape_jacobian(rest) -> (x, (R, k - 1)
-        derivatives of x in rest)``, where ``rest = params[1:]``; the
-        likelihood then caches each shape's event sums and gives fits a
-        gradient, and the first and second derivatives along s (the
-        built-in simple, proportional and freqdep rules)
+    prepare : optional, for a rule whose rates are ``params[0] * x`` with
+        ``x`` independent of ``params[0]``: ``(w_informed, total) -> shape``
+        computes the parameter-free pieces of ``x`` once for fixed sums; the
+        shape has ``shape(rest) -> x`` and ``shape_jacobian(rest) -> (x,
+        (R, k - 1) derivatives of x in rest)``, ``rest = params[1:]``, and
+        the rates are ``params[0] * shape(rest)``, equal to ``sums_rate``'s.
+        The likelihood then caches each shape's event sums and gives fits a
+        gradient and the derivatives along s (the built-in simple,
+        proportional and freqdep rules); else it uses the rates alone
     full_rate : general evaluator used when no fast path exists
     size_param : name of the parameter that switches social learning off at
         0; other parameters are non-identifiable when it is truly 0
@@ -135,17 +132,6 @@ class TransmissionRule:
     def n_params(self) -> int:
         return len(self.param_names)
 
-    def run_rates(self, w_informed, total) -> Callable[[np.ndarray], np.ndarray] | None:
-        """``params -> rates`` on the fixed sums ``(w_informed, total)``, with
-        the parameter-free pieces computed here, once: ``prepare``, else
-        ``sums_rate`` on the sums; None for a rule with only ``full_rate``."""
-        if self.prepare is not None:
-            return self.prepare(w_informed, total)
-        if self.sums_rate is None:
-            return None
-        sums_rate = self.sums_rate
-        return lambda params: sums_rate(params, w_informed, total)
-
     def check_params(self, params) -> np.ndarray:
         p = np.atleast_1d(np.asarray(params, dtype=float))
         if p.shape != (self.n_params,):
@@ -168,7 +154,7 @@ def _asocial_sums(params, w, tot):
 
 
 def _simple_sums(params, w, tot):
-    return _simple_prepare(w, tot)(params)
+    return params[0] * np.asarray(w, dtype=float)
 
 
 def _simple_prepare(w, tot):
@@ -176,14 +162,11 @@ def _simple_prepare(w, tot):
 
 
 class _FixedShape:
-    """Rates ``s * x`` on fixed sums, for a shape ``x`` with no parameter
-    (simple: ``w_informed``; proportional: the informed fraction)."""
+    """A shape ``x`` with no parameter, on fixed sums (simple:
+    ``w_informed``; proportional: the informed fraction)."""
 
     def __init__(self, x):
         self.x = x
-
-    def __call__(self, params):
-        return params[0] * self.x
 
     def shape(self, rest):
         return self.x
@@ -201,7 +184,7 @@ def _proportional_prepare(w, tot):
 
 
 def _proportional_sums(params, w, tot):
-    return _proportional_prepare(w, tot)(params)
+    return params[0] * _proportional_prepare(w, tot).x
 
 
 def _log_ratio(w, tot):
@@ -227,13 +210,13 @@ def _share(f, log_ratio):
 
 
 def _freqdep_prepare(w, tot):
-    return _FreqdepRates(_log_ratio(w, tot))
+    return _FreqdepShape(_log_ratio(w, tot))
 
 
-class _FreqdepRates:
-    """Freqdep rates ``s * x`` on fixed sums, from their prepared log ratio:
-    the shape ``x`` is the informed share, a function of f alone, and its
-    derivative in f comes from the same log ratio."""
+class _FreqdepShape:
+    """The freqdep shape on fixed sums, from their prepared log ratio: the
+    informed share, a function of f alone, whose derivative in f comes
+    from the same log ratio."""
 
     def __init__(self, log_ratio):
         self.log_ratio = log_ratio
@@ -242,10 +225,6 @@ class _FreqdepRates:
     def _finite_ratio(self):
         # the f-derivative is 0 where the ratio is infinite (rate 0 or s)
         return np.where(np.isfinite(self.log_ratio), self.log_ratio, 0.0)
-
-    def __call__(self, params):
-        s, f = params
-        return s * _share(f, self.log_ratio)
 
     def shape(self, rest):
         return _share(rest[0], self.log_ratio)
@@ -339,25 +318,17 @@ def threshold_rule(
     """
     if sharpness <= 0:
         raise ValueError(f"sharpness must be positive, got {sharpness}")
-    if estimate_sharpness:
-        return TransmissionRule(
-            kind="threshold",
-            param_names=("a", "c", "b"),
-            lower=(0.0, 0.0, 0.0),
-            upper=(np.inf, np.inf, np.inf),
-            sums_rate=_threshold_sums,
-            size_param="c",
-            default_start=(1.0, 1.0, sharpness),
-        )
+    k = 3 if estimate_sharpness else 2
     return TransmissionRule(
         kind="threshold",
-        param_names=("a", "c"),
-        lower=(0.0, 0.0),
-        upper=(np.inf, np.inf),
-        fixed={"b": sharpness},
-        sums_rate=functools.partial(_threshold_sums, sharpness=sharpness),
+        param_names=("a", "c", "b")[:k],
+        lower=(0.0,) * k,
+        upper=(np.inf,) * k,
+        fixed={} if estimate_sharpness else {"b": sharpness},
+        sums_rate=(_threshold_sums if estimate_sharpness
+                   else functools.partial(_threshold_sums, sharpness=sharpness)),
         size_param="c",
-        default_start=(1.0, 1.0),
+        default_start=(1.0, 1.0, sharpness)[:k],
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from contagionfit.cli import _rule_from_spec, build_parser, main
 LN_120 = math.log(120.0)
 
 TOY_ORDER_TEXT = "4,5,2,3,1\n"
-DEMO_DATA = Path(__file__).resolve().parents[1] / "docs" / "experiment-specs" / "data"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DEMO_DATA = REPO_ROOT / "docs" / "experiment-specs" / "data"
 
 
 @pytest.fixture()
@@ -147,6 +149,40 @@ def test_fit_reads_files_with_a_byte_order_mark(toy_files, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["nll"] == pytest.approx(LN_120, abs=1e-9)
 
 
+def test_readme_fit_example_is_what_the_cli_prints(monkeypatch, capsys):
+    # the README example's command, with its continuation lines, then its
+    # output, read from README.md so that the two cannot drift apart
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Fit one rule and report a profile interval:", 1)[1].split("```\n", 2)[1]
+    command, expected = block.split("\n", 1)
+    while command.endswith("\\"):
+        line, expected = expected.split("\n", 1)
+        command = command[:-1] + " " + line.strip()
+    argv = shlex.split(command)
+    assert argv[:2] == ["$", "contagionfit"]
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(argv[2:]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_fit_summary_lists_a_fixed_constant(capsys):
+    code = main(["fit", "--network", str(DEMO_DATA / "demo_network.csv"),
+                 "--order", str(DEMO_DATA / "demo_order.txt"),
+                 "--rule", "threshold", "--fix", "b=5"])
+    assert code == 0
+    assert "\n  b = 5   (fixed)\n" in capsys.readouterr().out
+
+
+def test_fit_not_converged_exits_2(capsys):
+    code = main(["fit", "--network", str(DEMO_DATA / "demo_network.csv"),
+                 "--order", str(DEMO_DATA / "demo_order.txt"),
+                 "--rule", "threshold", "--max-evals", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "converged: NO" in captured.out
+    assert "warning: optimizer did not meet tolerance" in captured.err
+
+
 def test_fit_missing_network_exits_1(tmp_path, capsys):
     code = main([
         "fit", "--network", str(tmp_path / "absent.csv"),
@@ -215,6 +251,19 @@ def test_simulate_generated_network_outputs(tmp_path, capsys):
     assert len(trace_lines) == 7  # header + 6 events
     net_lines = (tmp_path / "run_network.csv").read_text().strip().splitlines()
     assert len(net_lines) == 12
+
+
+def test_simulate_generate_reads_a_spec_with_a_byte_order_mark(tmp_path, capsys):
+    spec = tmp_path / "generator.json"
+    spec.write_text("\ufeff" + json.dumps(
+        {"n": 12, "sparsity_threshold": 0.5, "multiplier_max": 2, "seed": 3}), encoding="utf-8")
+    outputs = []
+    for generate in (str(spec), "n=12,threshold=0.5,mult=2,seed=3"):
+        code = main(["simulate", "--generate", generate, "--rule", "proportional",
+                     "--params", "4.0", "--seed", "11"])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_rejects_both_sources(toy_files, capsys):
@@ -445,6 +494,20 @@ def test_experiment_reps_override(tmp_path):
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["reps"] == 2
+
+
+def test_experiment_reads_a_spec_with_a_byte_order_mark(tmp_path):
+    plain = DEMO_DATA.parent / "selection_null.json"
+    bom = tmp_path / "selection_null.json"
+    bom.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    tables = []
+    for spec, run in ((plain, "plain"), (bom, "bom")):
+        out_dir = tmp_path / run
+        code = main(["experiment", "--spec", str(spec), "--out-dir", str(out_dir),
+                     "--reps", "2", "--deterministic"])
+        assert code == 0
+        tables.append((out_dir / "selection.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_experiment_deterministic_manifest_is_byte_identical(tmp_path):

@@ -156,15 +156,18 @@ def test_run_nll_matches_event_by_event_twin(diffusion, params):
                       f=st.one_of(st.just(0.0), st.just(0.2), st.floats(0.2, 20.0),
                                   st.floats(20.0, 1e6))))
 def test_prepared_run_rates_match_sums_rate(diffusion, params):
-    # the rates an objective prepares once equal sums_rate on the same runs
-    # (freqdep: and the formula on both weights, f = 0 included), and an
-    # objective's NLL equals negative_log_likelihood exactly
+    # s times the shape an objective prepares once equals sums_rate on the
+    # same runs (freqdep: and the formula on both weights, f = 0 included),
+    # and an objective's NLL equals negative_log_likelihood exactly
     w, order = diffusion
     table = build_event_table(DiffusionData(Network(w), order))
     for kind, p in params.items():
         rule = frequency_dependent_rule(f_lower=0.0) if kind == "freqdep" else rule_from_name(kind)
         p = np.array(p, dtype=float)
-        got = rule.run_rates(table.run_w, table.run_total)(p)
+        if rule.prepare is not None:
+            got = p[0] * rule.prepare(table.run_w, table.run_total).shape(p[1:])
+        else:
+            got = rule.sums_rate(p, table.run_w, table.run_total)
         assert np.array_equal(got, rule.sums_rate(p, table.run_w, table.run_total)), kind
         if kind == "freqdep":
             want = twin_rates(kind, p, table.run_w, table.run_total - table.run_w)

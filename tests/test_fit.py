@@ -70,6 +70,11 @@ def test_box_transform_nudge_inside():
     # interior points pass through untouched
     y = tr.nudge_inside(np.array([1.0, 5.0]))
     assert np.array_equal(y, [1.0, 5.0])
+    # a two-sided coordinate at its lower bound, an upper-only one at its bound
+    tr = BoxTransform([0.0, -np.inf], [10.0, 2.0])
+    x = tr.nudge_inside(np.array([0.0, 2.0]))
+    assert x[0] == 1e-3 * 10.0
+    assert x[1] == 2.0 - 1e-3
 
 
 def test_box_transform_derivatives_match_differences():

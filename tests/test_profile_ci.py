@@ -219,6 +219,16 @@ def test_profile_nll_validates_pin(freqdep_fit):
         profile_nll(fit.table, fit.rule, 5, 1.0, fit=fit)
 
 
+def test_profile_nll_without_a_fit_takes_the_rules_box(freqdep_fit):
+    # with no fit, the box and the start are the rule's own: a pin of the
+    # one simple parameter is the NLL there, and f has the rule's f_lower
+    table, rule = freqdep_fit.table, simple_rule()
+    for value in (0.0, 0.7, 30.0):
+        assert profile_nll(table, rule, 0, value) == negative_log_likelihood(rule, [value], table)
+    with pytest.raises(ValueError, match=r"outside bounds \[0\.2, inf\] for f"):
+        profile_nll(table, frequency_dependent_rule(), 1, 0.1)
+
+
 def test_profile_ci_on_fitted_model(freqdep_fit):
     fit = freqdep_fit
     ci_f = profile_ci(fit, 1)
